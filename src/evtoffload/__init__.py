@@ -1,6 +1,6 @@
 """Energy-efficient DAG computation offloading under uncertainty."""
 
-from .colgen import solve, initial_rmp, solve_rmp, solve_npp, SolveResult
+from .colgen import solve, initial_rmp, solve_rmp, SolveResult
 from .energy import (
     CLIENT,
     SERVER,

@@ -7,20 +7,30 @@ incrementally: an admitted column places its node at the completion slot
 chosen by pricing and leaves every other slot untouched, which is what
 preserves the slack the pricing windows need.
 
-Dual prices for the pricing step come from a compact phase-one LP over
-relaxed completion times (dense simplex, Bland's rule); when that LP prices
-every dependency row at zero - which it provably does whenever a feasible
-schedule exists - tightness-weighted heuristic prices take over.
+Dual prices are tightness weights: each dependency edge is priced
+1/(1 + slack) of the current schedule, normalized to sum 1.  The master is
+only ever priced after its feasibility check has passed, and the exact LP
+duals of a feasible master are all zero, so these weights are what steers
+pricing.
 
 Pricing follows the reduced-cost form
 
     zeta_n = sum_m c_m o_mn theta_u + sum_k c_k o_nk theta_d
              - sum_m pi_mn b_mn - sum_k pi_nk b_nk
 
-scanned exactly over every feasible completion slot of the candidate.  A
-column is admitted only if it strictly lowers the energy objective;
-otherwise it is blacklisted for later rounds.  An admission that breaks
-master feasibility is rolled back when the next master check signals it.
+which is affine in the completion slot t of the candidate.  Every round
+prices all candidates in one vectorised pass over edge arrays built once
+per solve (`PricingCore`): windows and coefficients come from per-node
+reductions over an incidence list, with each coefficient summed in the same
+order as a scalar loop.  The minimizing slot is read off the sign of the
+slope - the window's first slot when zeta rises, its last when it falls -
+whenever the slope exceeds a rigorous bound on the rounding error of the
+computed curve.  Within that bound the computed curve need not be monotone,
+so the window is scanned slot by slot, which gives exactly the slot and
+value a full scan gives (smallest slot on ties).  A column is admitted only
+if it strictly lowers the energy objective; otherwise it is blacklisted for
+later rounds.  An admission that breaks master feasibility is rolled back
+when the next master check signals it.
 
 Bound bookkeeping: r_underbar records the pricing value of each round, but
 psi_lower is held at a provable combinatorial floor on psi (see
@@ -53,10 +63,17 @@ from .energy import (
     worst_case_expected_energy,
 )
 from .graph import GraphValidationError, TaskGraph, topological_order, validate_graph
-from .simplex import OPTIMAL, solve_standard_form
 
-DUAL_TOL = 1e-12
 CERT_REL_TOL = 1e-12
+
+# zeta(t) is six IEEE operations on the coefficients, so the computed curve
+# lies within 6.01 * 2**-53 * S + 6 * 2**-1075 of the exact line, S being the
+# sum of the term magnitudes (the second term covers subnormal results).  A
+# slope beyond twice that keeps the computed curve strictly monotone over the
+# window; the allowance below has a wide margin, and within it the window is
+# scanned.
+SLOPE_NOISE = 64 * 2.0**-53
+SLOPE_NOISE_ABS = 2.0**-1060
 
 EXIT_NO_COLUMN = "no_column"
 EXIT_PRICING_NONNEG = "pricing_nonneg"
@@ -79,6 +96,174 @@ class PricedColumn:
     t_min: int
     t_max: int
     slot: int
+
+
+@dataclass(frozen=True)
+class PricingTable:
+    """Priced candidates of one round, ascending by node id.
+
+    Holds every candidate with a nonempty window: its window, its best slot
+    and zeta at that slot, which is the minimum of zeta over the window.
+    """
+
+    node: np.ndarray
+    t_min: np.ndarray
+    t_max: np.ndarray
+    slot: np.ndarray
+    zeta: np.ndarray
+
+    def best(self, blacklist: set[int]) -> PricedColumn | None:
+        """Column selection: the most negative zeta outside the blacklist,
+        ties to the smallest id; None when no candidate is left."""
+        open_idx = [i for i, node in enumerate(self.node.tolist()) if node not in blacklist]
+        if not open_idx:
+            return None
+        i = open_idx[int(np.argmin(self.zeta[open_idx]))]
+        return PricedColumn(
+            int(self.node[i]), float(self.zeta[i]), int(self.t_min[i]), int(self.t_max[i]),
+            int(self.slot[i]),
+        )
+
+
+class PricingCore:
+    """Edge arrays of one solve; prices every candidate of a round at once.
+
+    Node-indexed arrays have length N + 1 and are indexed by node id, so ids
+    must be 1..N.  The incidence list holds, for each interior node, its
+    parent edges and then its child edges in `graph.parents` /
+    `graph.children` order: `np.bincount` adds in input order, so each
+    coefficient is summed exactly as a scalar loop over that node would.
+    """
+
+    def __init__(self, graph: TaskGraph, params: SystemParams):
+        self.params = params
+        self.node_ids = ids = graph.node_ids
+        self.ids = np.array(ids, dtype=np.int64)
+        self.size = max(ids, default=0) + 1
+        self.interior = sorted(graph.interior_ids())
+        self.edge_keys = [(e.src, e.dst) for e in graph.edges]
+        self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
+        self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
+        self.bits = np.array([e.bits for e in graph.edges], dtype=float)
+
+        # A slot count beyond T + 1 empties every window and fails every
+        # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
+        cap = params.deadline_slots + 1
+        slots = slot_table(graph, params)
+        self.z_up = min(params.z_up_slots, cap)
+        self.z_down = min(params.z_down_slots, cap)
+        self.client_slots = np.zeros(self.size, dtype=np.int64)
+        self.server_slots = np.zeros(self.size, dtype=np.int64)
+        self.client_slots[self.ids] = [min(slots.client[n], cap) for n in ids]
+        self.server_slots[self.ids] = [min(slots.server[n], cap) for n in ids]
+
+        edge_index = {key: i for i, key in enumerate(self.edge_keys)}
+        node, edge, is_parent = [], [], []
+        for v in self.interior:
+            for p in graph.parents[v]:
+                node.append(v)
+                edge.append(edge_index[(p, v)])
+                is_parent.append(True)
+            for c in graph.children[v]:
+                node.append(v)
+                edge.append(edge_index[(v, c)])
+                is_parent.append(False)
+        self.inc_node = np.array(node, dtype=np.int64)
+        self.inc_edge = np.array(edge, dtype=np.int64)
+        self.inc_parent = np.array(is_parent, dtype=bool)
+        self.inc_other = np.where(self.inc_parent, self.src[self.inc_edge], self.dst[self.inc_edge])
+
+    def round_arrays(self, state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(on-server mask, schedule) by node id and the dual price of each edge."""
+        on_server = np.zeros(self.size, dtype=bool)
+        on_server[list(state.server_set)] = True
+        sched = np.zeros(self.size, dtype=np.int64)
+        sched[self.ids] = [state.schedule[n] for n in self.node_ids]
+        pi = np.array([state.duals.get(key, 0.0) for key in self.edge_keys], dtype=float)
+        return on_server, sched, pi
+
+    def _exec_at(self, nodes: np.ndarray, on_server: np.ndarray) -> np.ndarray:
+        return np.where(on_server[nodes], self.server_slots[nodes], self.client_slots[nodes])
+
+    def slack(self, on_server: np.ndarray, sched: np.ndarray) -> np.ndarray:
+        """Slots of each edge's gap beyond its transfer and head execution, >= 0."""
+        up = ~on_server[self.src] & on_server[self.dst]
+        down = on_server[self.src] & ~on_server[self.dst]
+        transfer = np.where(up, self.z_up, np.where(down, self.z_down, 0))
+        gap = sched[self.dst] - sched[self.src]
+        return np.maximum(gap - transfer - self._exec_at(self.dst, on_server), 0)
+
+    def windows(self, on_server: np.ndarray, sched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(t_min, t_max) by node id for moving each interior node to the server.
+
+        Every slot in a window keeps all constraints touching the node
+        satisfied with the rest of the schedule unchanged; t_min > t_max
+        marks an empty window.
+        """
+        other = self.inc_other
+        client = ~on_server[other]
+        up = self.inc_parent
+        ready = sched[other] + np.where(client, self.z_up, 0)
+        t_min = np.zeros(self.size, dtype=np.int64)
+        np.maximum.at(t_min, self.inc_node[up], ready[up])
+        t_min = np.maximum(t_min + self.server_slots, 1)
+        latest = sched[other] - np.where(client, self.z_down, 0) - self._exec_at(other, on_server)
+        t_max = np.full(self.size, self.params.deadline_slots, dtype=np.int64)
+        np.minimum.at(t_max, self.inc_node[~up], latest[~up])
+        return t_min, t_max
+
+    def coefficients(self, on_server: np.ndarray, sched: np.ndarray, pi: np.ndarray):
+        """(tr, ps, po, cs, co) by node id, zeta(t) = `_zeta(tr, ps, po, cs, co, t)`.
+
+        tr is the transfer energy the move adds, ps/po the dual sum and
+        offset of the parent rows, cs/co those of the child rows.
+        """
+        other = self.inc_other
+        client = ~on_server[other]
+        up = self.inc_parent
+        down = ~up
+        theta = np.where(up, self.params.theta_up, self.params.theta_down)
+        transfer = np.where(client, self.bits[self.inc_edge] * theta, 0.0)
+        price = pi[self.inc_edge]
+        head = np.where(up, -self.server_slots[self.inc_node], self._exec_at(other, on_server))
+        offset = price * (sched[other] - head)
+
+        def per_node(weights, rows=slice(None)):
+            return np.bincount(self.inc_node[rows], weights=weights[rows], minlength=self.size)
+
+        return (
+            per_node(transfer),
+            per_node(price, up),
+            per_node(offset, up),
+            per_node(price, down),
+            per_node(offset, down),
+        )
+
+    def price(self, state: SolverState, nodes) -> PricingTable:
+        """Best slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
+        on_server, sched, pi = self.round_arrays(state)
+        t_min, t_max = self.windows(on_server, sched)
+        nodes = np.asarray(nodes, dtype=np.int64)
+        nodes = nodes[t_min[nodes] <= t_max[nodes]]
+        lo, hi = t_min[nodes], t_max[nodes]
+        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients(on_server, sched, pi))
+        slope = cs - ps
+        magnitude = np.abs(tr) + np.abs(po) + np.abs(co) + (np.abs(ps) + np.abs(cs)) * hi
+        noise = SLOPE_NOISE * magnitude + SLOPE_NOISE_ABS
+        slot = np.where(slope > 0.0, lo, hi)
+        zeta = _zeta(tr, ps, po, cs, co, slot.astype(float))
+        for i in np.flatnonzero(np.abs(slope) <= noise):
+            grid = np.arange(lo[i], hi[i] + 1, dtype=float)
+            curve = _zeta(tr[i], ps[i], po[i], cs[i], co[i], grid)
+            best = int(np.argmin(curve))
+            slot[i] = lo[i] + best
+            zeta[i] = curve[best]
+        return PricingTable(nodes, lo, hi, slot, zeta)
+
+
+def _zeta(tr, ps, po, cs, co, t):
+    # zeta(t) = transfer - sum_m pi (t - slot_m - Es) - sum_k pi (slot_k - t - Ek)
+    return tr - (ps * t - po) - (co - cs * t)
 
 
 @dataclass
@@ -110,7 +295,10 @@ class SolverState:
     psi_lower: float = 0.0
     r_underbar: float = math.inf
     iterations: int = 0
-    k_const: int = 0
+    core: PricingCore = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.core = PricingCore(self.graph, self.params)
 
     def location(self, node: int) -> str:
         return SERVER if node in self.server_set else CLIENT
@@ -157,288 +345,74 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
     state.schedule = schedule
     state.psi_upper = worst_case_expected_energy(graph, state.decision(), params).psi
     state.psi_lower = 0.0
-    state.k_const = max(graph.n_nodes - 2, 0)
     return state
 
 
-def _dependency_need(
-    graph: TaskGraph, location: dict[int, str], params: SystemParams, slots
-) -> dict[tuple[int, int], int]:
-    """Required slot gap per edge: transfer quantile plus head execution."""
-    need: dict[tuple[int, int], int] = {}
-    for e in graph.edges:
-        src_client = location[e.src] == CLIENT
-        dst_client = location[e.dst] == CLIENT
-        if src_client and not dst_client:
-            transfer = params.z_up_slots
-        elif not src_client and dst_client:
-            transfer = params.z_down_slots
-        else:
-            transfer = 0
-        need[(e.src, e.dst)] = transfer + slots.at(e.dst, location[e.dst])
-    return need
+def tightness_duals(state: SolverState) -> dict[tuple[int, int], float]:
+    """Prices 1/(1 + slack) per dependency edge, normalized to sum 1."""
+    core = state.core
+    on_server, sched, _ = core.round_arrays(state)
+    weights = 1.0 / (1.0 + core.slack(on_server, sched))
+    return dict(zip(core.edge_keys, (weights / math.fsum(weights)).tolist()))
 
 
-def phase_one_duals(
-    graph: TaskGraph,
-    location: dict[int, str],
-    params: SystemParams,
-    simplex_budget: int = 250_000,
-) -> dict[tuple[int, int], float] | None:
-    """Dependency-row duals of the phase-one LP, or None when over budget.
-
-    The LP relaxes each completion time to tau_n in [1, T], adds a
-    nonnegative violation variable to every dependency row and the deadline
-    row, and minimizes total violation.  Whenever the fixed locations admit
-    a feasible schedule its optimum is 0 and the all-zero dual vector is
-    optimal, so skipping the mechanical pivoting above the size budget
-    returns an equally valid (zero) multiplier vector.
-    """
-    n = graph.n_nodes
-    n_edges = len(graph.edges)
-    slots = slot_table(graph, params)
-    need = _dependency_need(graph, location, params, slots)
-    horizon = float(params.deadline_slots - 1)
-
-    rows = n_edges + 1 + n
-    cols_total = 2 * n + 2 * n_edges + 2
-    if rows * cols_total > simplex_budget:
-        return None
-
-    node_col = {node: i for i, node in enumerate(graph.node_ids)}
-    viol_t = n + 2 * n_edges
-    surp_t = n + 2 * n_edges + 1
-
-    # Column layout: [u_1..u_N | v_e, s_e per edge | v_T, s_T | w_1..w_N]
-    a_mat = np.zeros((rows, cols_total + n))
-    b_vec = np.zeros(rows)
-    c_vec = np.zeros(cols_total + n)
-    basis: list[int] = []
-
-    edges = sorted(graph.edges, key=lambda e: (e.src, e.dst))
-    for i, e in enumerate(edges):
-        viol = n + 2 * i
-        surp = n + 2 * i + 1
-        a_mat[i, node_col[e.dst]] = 1.0
-        a_mat[i, node_col[e.src]] = -1.0
-        a_mat[i, viol] = 1.0
-        a_mat[i, surp] = -1.0
-        b_vec[i] = float(need[(e.src, e.dst)])
-        c_vec[viol] = 1.0
-        basis.append(viol)
-
-    row_t = n_edges
-    a_mat[row_t, node_col[n]] = 1.0
-    a_mat[row_t, viol_t] = -1.0
-    a_mat[row_t, surp_t] = 1.0
-    b_vec[row_t] = horizon
-    c_vec[viol_t] = 1.0
-    basis.append(surp_t)
-
-    for i, node in enumerate(graph.node_ids):
-        row = n_edges + 1 + i
-        w = cols_total + i
-        a_mat[row, node_col[node]] = 1.0
-        a_mat[row, w] = 1.0
-        b_vec[row] = horizon
-        basis.append(w)
-
-    result = solve_standard_form(c_vec, a_mat, b_vec, basis)
-    if result.status != OPTIMAL:
-        return None
-    return {
-        (e.src, e.dst): max(float(result.duals[i]), 0.0) for i, e in enumerate(edges)
-    }
-
-
-def tightness_duals(
-    graph: TaskGraph,
-    location: dict[int, str],
-    schedule: dict[int, int],
-    params: SystemParams,
-) -> dict[tuple[int, int], float]:
-    """Heuristic prices 1/(1 + slack) per dependency edge, normalized to sum 1."""
-    slots = slot_table(graph, params)
-    need = _dependency_need(graph, location, params, slots)
-    weights = {}
-    for e in graph.edges:
-        gap = schedule[e.dst] - schedule[e.src]
-        slack = max(gap - need[(e.src, e.dst)], 0)
-        weights[(e.src, e.dst)] = 1.0 / (1.0 + slack)
-    total = math.fsum(weights.values())
-    if total <= 0:
-        return {key: 0.0 for key in weights}
-    return {key: w / total for key, w in weights.items()}
-
-
-def solve_rmp(
-    state: SolverState,
-    graph: TaskGraph,
-    params: SystemParams,
-    simplex_budget: int = 250_000,
-) -> tuple[float, dict[tuple[int, int], float], dict[int, int]]:
+def solve_rmp(state: SolverState) -> tuple[float, dict[tuple[int, int], float], dict[int, int]]:
     """Feasibility-check the current schedule; refresh the bound and duals.
 
     Raises RmpInfeasible when the schedule violates any master constraint,
     which tells the caller to reject the most recently added column.
     """
-    violations = check_constraints(graph, state.decision(), params)
+    decision = state.decision()
+    violations = check_constraints(state.graph, decision, state.params)
     if violations:
         raise RmpInfeasible(violations[0].detail)
-    state.psi_upper = worst_case_expected_energy(graph, state.decision(), params).psi
-
-    location = state.location_map()
-    duals = phase_one_duals(graph, location, params, simplex_budget)
-    if duals is None:
-        duals = {}
-    if not duals or max(duals.values()) <= DUAL_TOL:
-        duals = tightness_duals(graph, location, state.schedule, params)
-    state.duals = duals
-    return state.psi_upper, duals, dict(state.schedule)
+    state.psi_upper = worst_case_expected_energy(state.graph, decision, state.params).psi
+    state.duals = tightness_duals(state)
+    return state.psi_upper, state.duals, dict(state.schedule)
 
 
-def feasible_slot_range(
-    node: int, state: SolverState, graph: TaskGraph, params: SystemParams
-) -> tuple[int, int]:
+def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
     """Completion-slot window for moving `node` to the server.
 
     Every slot in the window keeps all constraints touching the node
     satisfied with the rest of the schedule unchanged.
     """
-    slots = slot_table(graph, params)
-    exec_server = slots.server[node]
-    t_min = 0
-    for parent in graph.parents[node]:
-        transfer = params.z_up_slots if state.location(parent) == CLIENT else 0
-        t_min = max(t_min, state.schedule[parent] + transfer)
-    t_min = max(t_min + exec_server, 1)
-
-    t_max = params.deadline_slots
-    for child in graph.children[node]:
-        loc = state.location(child)
-        transfer = params.z_down_slots if loc == CLIENT else 0
-        t_max = min(t_max, state.schedule[child] - transfer - slots.at(child, loc))
-    if t_min > t_max:
+    on_server, sched, _ = state.core.round_arrays(state)
+    t_min, t_max = state.core.windows(on_server, sched)
+    if t_min[node] > t_max[node]:
         raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
-    return t_min, t_max
+    return int(t_min[node]), int(t_max[node])
 
 
-def reduced_cost(
-    node: int, slot: int, state: SolverState, graph: TaskGraph, params: SystemParams
-) -> float:
+def reduced_cost(node: int, slot: int, state: SolverState) -> float:
     """zeta for moving `node` to the server, completing at `slot`."""
-    if node in state.server_set or node in (1, graph.n_nodes):
+    if node in state.server_set or node in (1, state.graph.n_nodes):
         raise ValueError(f"node {node} is not a pricing candidate")
-    curve = _zeta_curve(node, np.array([slot], dtype=float), state, graph, params)
-    return float(curve[0])
+    coef = state.core.coefficients(*state.core.round_arrays(state))
+    return float(_zeta(*(c[node] for c in coef), float(slot)))
 
 
-def _zeta_curve(
-    node: int,
-    t_arr: np.ndarray,
-    state: SolverState,
-    graph: TaskGraph,
-    params: SystemParams,
-) -> np.ndarray:
-    slots = slot_table(graph, params)
-    exec_server = slots.server[node]
-    transfer = 0.0
-    par_sum = 0.0
-    par_off = 0.0
-    for parent in graph.parents[node]:
-        bits = graph.bits(parent, node)
-        if state.location(parent) == CLIENT:
-            transfer += bits * params.theta_up
-        pi = state.duals.get((parent, node), 0.0)
-        par_sum += pi
-        par_off += pi * (state.schedule[parent] + exec_server)
-    chi_sum = 0.0
-    chi_off = 0.0
-    for child in graph.children[node]:
-        bits = graph.bits(node, child)
-        loc = state.location(child)
-        if loc == CLIENT:
-            transfer += bits * params.theta_down
-        pi = state.duals.get((node, child), 0.0)
-        chi_sum += pi
-        chi_off += pi * (state.schedule[child] - slots.at(child, loc))
-    # zeta(t) = transfer - sum_m pi (t - slot_m - Es) - sum_k pi (slot_k - t - Ek)
-    return transfer - (par_sum * t_arr - par_off) - (chi_off - chi_sum * t_arr)
+def solve_td(node: int, state: SolverState) -> tuple[int, float]:
+    """Exact completion-slot choice for one candidate.
 
-
-def solve_td(
-    node: int, state: SolverState, graph: TaskGraph, params: SystemParams
-) -> tuple[int, float]:
-    """Exact completion-slot choice: scan every slot in the feasible window.
-
-    Returns the minimizing slot (smallest on ties) and its zeta value.  The
-    scan is exact over the 1-sparse slot vector, so no rounding step is
-    needed after an LP relaxation.
+    Returns the minimizing slot of the feasible window (smallest on ties)
+    and its zeta value, as a scan over every slot would.
     """
-    t_min, t_max = feasible_slot_range(node, state, graph, params)
-    t_arr = np.arange(t_min, t_max + 1, dtype=float)
-    zeta = _zeta_curve(node, t_arr, state, graph, params)
-    idx = int(np.argmin(zeta))
-    return t_min + idx, float(zeta[idx])
+    table = state.core.price(state, [node])
+    if not table.node.size:
+        raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
+    return int(table.slot[0]), float(table.zeta[0])
 
 
-def solve_cs(candidates: list[tuple[int, float]]) -> int | None:
-    """Column selection: the most negative reduced cost, ties to smallest id."""
-    if not candidates:
-        return None
-    return min(candidates, key=lambda item: (item[1], item[0]))[0]
+def _price_all(state: SolverState) -> PricingTable:
+    """Price every interior client node, blacklisted ones included."""
+    candidates = [n for n in state.core.interior if n not in state.server_set]
+    return state.core.price(state, candidates)
 
 
-def _price_all(
-    state: SolverState, graph: TaskGraph, params: SystemParams
-) -> list[PricedColumn]:
-    columns = []
-    for node in graph.interior_ids():
-        if node in state.server_set or node in state.blacklist:
-            continue
-        try:
-            t_min, t_max = feasible_slot_range(node, state, graph, params)
-        except NoFeasibleSlotError:
-            continue
-        slot, zeta = solve_td(node, state, graph, params)
-        columns.append(PricedColumn(node, zeta, t_min, t_max, slot))
-    return columns
-
-
-def solve_npp(
-    state: SolverState,
-    graph: TaskGraph,
-    params: SystemParams,
-    max_iter: int = 20,
-) -> tuple[PricedColumn | None, float]:
-    """Price every candidate at its best slot, then select and stabilize.
-
-    Alternates column selection over the candidate table with the exact
-    slot choice for the incumbent until the pricing value stops changing
-    (or max_iter).  Returns (best column, r_underbar); (None, 0.0) when no
-    candidate has a feasible slot.
-    """
-    table = _price_all(state, graph, params)
-    if not table:
-        return None, 0.0
-    pairs = [(col.node, col.reduced_cost) for col in table]
-    by_node = {col.node: col for col in table}
-    incumbent = solve_cs(pairs)
-    r_value = by_node[incumbent].reduced_cost
-    for _ in range(max_iter):
-        slot, zeta = solve_td(incumbent, state, graph, params)
-        col = by_node[incumbent]
-        col.slot, col.reduced_cost = slot, zeta
-        if zeta == r_value:
-            break
-        r_value = zeta
-    return by_node[incumbent], r_value
-
-
-def delta_psi(
-    node: int, state: SolverState, graph: TaskGraph, params: SystemParams
-) -> float:
+def delta_psi(node: int, state: SolverState) -> float:
     """Exact objective change from relocating `node` to the server."""
+    graph, params = state.graph, state.params
     change = -params.kappa * graph.workload(node) * params.f_c_hz * params.f_c_hz
     for parent in graph.parents[node]:
         bits = graph.bits(parent, node)
@@ -480,39 +454,24 @@ def attribution_lower_bound(graph: TaskGraph, params: SystemParams) -> float:
     return math.fsum(terms)
 
 
-def _grid_verification(
-    state: SolverState, graph: TaskGraph, params: SystemParams
-) -> tuple[bool, bool]:
+def _grid_verification(state: SolverState, table: PricingTable) -> tuple[bool, bool]:
     """(all zeta >= 0 over the full grid, no single relocation helps).
 
-    Ignores the blacklist: this is the full candidate grid of the pricing
-    problem.
+    `table` prices every interior client node on the current state,
+    blacklisted ones included: this is the full candidate grid of the
+    pricing problem, and each zeta in it is its candidate's minimum over
+    the whole window.
     """
-    grid_nonneg = True
-    stationary = True
-    for node in graph.interior_ids():
-        if node in state.server_set:
-            continue
-        if delta_psi(node, state, graph, params) < 0:
-            stationary = False
-        try:
-            t_min, t_max = feasible_slot_range(node, state, graph, params)
-        except NoFeasibleSlotError:
-            continue
-        t_arr = np.arange(t_min, t_max + 1, dtype=float)
-        zeta = _zeta_curve(node, t_arr, state, graph, params)
-        if float(zeta.min()) < 0.0:
-            grid_nonneg = False
+    grid_nonneg = not bool((table.zeta < 0.0).any())
+    stationary = not any(
+        delta_psi(node, state) < 0
+        for node in state.core.interior
+        if node not in state.server_set
+    )
     return grid_nonneg, stationary
 
 
-def solve(
-    graph: TaskGraph,
-    params: SystemParams,
-    epsilon: float | None = None,
-    simplex_budget: int = 250_000,
-    npp_max_iter: int = 20,
-) -> SolveResult:
+def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
     """Run the epsilon-bounded column-generation loop.
 
     Each round: check the master and refresh bound + duals, price one
@@ -532,7 +491,7 @@ def solve(
     log: list[IterationRecord] = []
     exit_reason = EXIT_NO_COLUMN
     dirty = True
-    cached: list[PricedColumn] = []
+    table: PricingTable | None = None
     last_admission: tuple[int, int] | None = None
     round_idx = 0
     max_rounds = 2 * graph.n_nodes + 8
@@ -543,7 +502,7 @@ def solve(
             raise RuntimeError("column generation failed to terminate")
         if dirty:
             try:
-                solve_rmp(state, graph, params, simplex_budget)
+                solve_rmp(state)
             except RmpInfeasible:
                 if last_admission is None:
                     raise
@@ -552,18 +511,13 @@ def solve(
                 state.schedule[node] = prev_slot
                 state.iterations -= 1
                 state.blacklist.add(node)
-                solve_rmp(state, graph, params, simplex_budget)
+                solve_rmp(state)
             last_admission = None
-            cached = _price_all(state, graph, params)
+            table = _price_all(state)
             dirty = False
-        else:
-            cached = [col for col in cached if col.node not in state.blacklist]
 
-        column = None
-        r_scan = 0.0
-        if cached:
-            column = min(cached, key=lambda col: (col.reduced_cost, col.node))
-            r_scan = column.reduced_cost
+        column = table.best(state.blacklist)
+        r_scan = 0.0 if column is None else column.reduced_cost
 
         # The scan pricing value is recorded as r_underbar, but the lower
         # bound comes from the provable combinatorial floor: the heuristic
@@ -581,7 +535,7 @@ def solve(
         else:
             node = column.node
             admitted: int | None = None
-            if delta_psi(node, state, graph, params) < 0.0:
+            if delta_psi(node, state) < 0.0:
                 last_admission = (node, state.schedule[node])
                 state.server_set.add(node)
                 state.schedule[node] = column.slot
@@ -602,7 +556,9 @@ def solve(
         )
         break
 
-    grid_nonneg, stationary = _grid_verification(state, graph, params)
+    # The loop leaves only from a round that admitted nothing, so the last
+    # table was priced on the final locations, schedule and duals.
+    grid_nonneg, stationary = _grid_verification(state, table)
     bound_tight = state.psi_upper <= psi_floor * (1.0 + CERT_REL_TOL) + 1e-300
     certified = (
         exit_reason == EXIT_PRICING_NONNEG and grid_nonneg and stationary and bound_tight

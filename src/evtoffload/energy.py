@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,7 @@ class InfeasibleError(Exception):
 
 
 class TraceExhaustedError(Exception):
-    """A realized-trace replay ran out of recorded transfer events."""
+    """An empirical trace replay ran out of recorded transfer events."""
 
 
 @dataclass(frozen=True)
@@ -52,6 +53,17 @@ class SystemParams:
     block_size_k: int = 1500
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        deadline = self.deadline_slots
+        if not (
+            isinstance(deadline, numbers.Integral)
+            or (isinstance(deadline, float) and deadline.is_integer())
+        ):
+            raise ValueError(f"deadline_slots must be an integer, got {deadline!r}")
+        object.__setattr__(self, "deadline_slots", int(deadline))
         positive = {
             "f_c_hz": self.f_c_hz,
             "f_s_hz": self.f_s_hz,
@@ -74,14 +86,20 @@ class SystemParams:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         if self.block_size_k < 1:
             raise ValueError(f"block_size_k must be >= 1, got {self.block_size_k}")
+        # Converted once: the exact rational ceilings are too slow to redo on
+        # every access from the solver's hot loops.
+        object.__setattr__(self, "_z_slots", (
+            exact_ceil_div(self.z_up_s, self.delta_s),
+            exact_ceil_div(self.z_down_s, self.delta_s),
+        ))
 
     @property
     def z_up_slots(self) -> int:
-        return exact_ceil_div(self.z_up_s, self.delta_s)
+        return self._z_slots[0]
 
     @property
     def z_down_slots(self) -> int:
-        return exact_ceil_div(self.z_down_s, self.delta_s)
+        return self._z_slots[1]
 
     def to_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
@@ -99,6 +117,19 @@ class SystemParams:
         merged = asdict(self)
         merged.update(kwargs)
         return SystemParams(**merged)
+
+
+_FLOAT_FIELDS = (
+    "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
+    "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
+)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):  # not a number, or an int beyond float range
+        return False
 
 
 def exact_ceil_div(numer: float, denom: float) -> int:
@@ -214,32 +245,6 @@ def worst_case_expected_energy(
     )
 
 
-def dependency_bound_upload(
-    graph: TaskGraph, decision: OffloadDecision, m: int, n: int, params: SystemParams
-) -> int:
-    """Slack available to an uplink transfer on edge (m, n), in slots.
-
-    slot(n) - slot(m) - server execution slots of n; the uplink constraint
-    is z_up_slots <= this bound.
-    """
-    return (
-        decision.slot[n]
-        - decision.slot[m]
-        - exec_slots(graph.workload(n), params.f_s_hz, params.delta_s)
-    )
-
-
-def dependency_bound_download(
-    graph: TaskGraph, decision: OffloadDecision, m: int, n: int, params: SystemParams
-) -> int:
-    """Slack available to a downlink transfer on edge (m, n), in slots."""
-    return (
-        decision.slot[n]
-        - decision.slot[m]
-        - exec_slots(graph.workload(n), params.f_c_hz, params.delta_s)
-    )
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str
@@ -313,44 +318,3 @@ def check_constraints(
                 )
             )
     return violations
-
-
-@dataclass
-class RealizedTraces:
-    """Recorded (rate, power) pairs consumed per cross-boundary transfer.
-
-    Events are consumed in canonical edge order, ascending (src, dst),
-    uplink and downlink streams separately.
-    """
-
-    up: list[tuple[float, float]]
-    down: list[tuple[float, float]]
-
-
-def realized_energy(
-    graph: TaskGraph, decision: OffloadDecision, traces: RealizedTraces, params: SystemParams
-) -> float:
-    """Energy actually spent under recorded rates/powers for each transfer."""
-    coef = params.kappa * params.f_c_hz * params.f_c_hz
-    total = math.fsum(
-        coef * m.workload_cycles for m in graph.modules if decision.is_client(m.id)
-    )
-    up_idx = 0
-    down_idx = 0
-    transfer_terms = []
-    for e in sorted(graph.edges, key=lambda e: (e.src, e.dst)):
-        src_client = decision.is_client(e.src)
-        dst_client = decision.is_client(e.dst)
-        if src_client and not dst_client:
-            if up_idx >= len(traces.up):
-                raise TraceExhaustedError(f"uplink trace exhausted at edge {e.src}->{e.dst}")
-            rate, power = traces.up[up_idx]
-            up_idx += 1
-            transfer_terms.append(power * e.bits / rate)
-        elif not src_client and dst_client:
-            if down_idx >= len(traces.down):
-                raise TraceExhaustedError(f"downlink trace exhausted at edge {e.src}->{e.dst}")
-            rate, power = traces.down[down_idx]
-            down_idx += 1
-            transfer_terms.append(power * e.bits / rate)
-    return total + math.fsum(transfer_terms)

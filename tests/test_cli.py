@@ -276,6 +276,18 @@ def test_infeasible_instance_gives_nonzero_exit(tmp_path):
     assert main(["--config", str(config), "solve", "--dag", str(dag), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("z_up_s", "Infinity"), ("theta_up", "NaN"),
+                                       ("deadline_slots", "2.5")])
+def test_out_of_range_config_gives_error_exit(tmp_path, capsys, key, value):
+    config = tmp_path / "config.json"
+    config.write_text(f'{{"{key}": {value}}}')
+    dag = _gen_dag(tmp_path)
+    out = tmp_path / "x.json"
+    assert main(["--config", str(config), "solve", "--dag", str(dag), "--out", str(out)]) == 2
+    assert f"error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_policy_dispatch_sequential(tmp_path):
     from evtoffload.graph import save_graph
     from conftest import chain_graph

@@ -5,17 +5,17 @@ from evtoffload.colgen import (
     EXIT_PRICING_NONNEG,
     EXIT_RATIO,
     NoFeasibleSlotError,
+    PricingTable,
     RmpInfeasible,
     SolverState,
+    _grid_verification,
+    _price_all,
     attribution_lower_bound,
     delta_psi,
     feasible_slot_range,
     initial_rmp,
-    phase_one_duals,
     reduced_cost,
     solve,
-    solve_cs,
-    solve_npp,
     solve_rmp,
     solve_td,
 )
@@ -39,7 +39,6 @@ def _hand_state(graph, params, schedule, duals, server=()):
     state.schedule = dict(schedule)
     state.duals = dict(duals)
     state.server_set = set(server)
-    state.k_const = max(graph.n_nodes - 2, 0)
     return state
 
 
@@ -84,7 +83,7 @@ def test_solve_rmp_base_state():
     graph = chain_graph([2, 4, 2], [10, 20])
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
-    psi_u, duals, schedule = solve_rmp(state, graph, params)
+    psi_u, duals, schedule = solve_rmp(state)
     assert psi_u == worst_case_expected_energy(graph, state.decision(), params).psi
     assert set(duals) == {(1, 2), (2, 3)}
     assert all(np.isfinite(v) and v >= 0 for v in duals.values())
@@ -97,38 +96,15 @@ def test_solve_rmp_rejection_signal():
     state = initial_rmp(graph, params)
     state.schedule[3] = params.deadline_slots + 5  # break the deadline row
     with pytest.raises(RmpInfeasible):
-        solve_rmp(state, graph, params)
+        solve_rmp(state)
 
 
 def test_heuristic_duals_normalized():
     graph = chain_graph([2, 4, 2], [10, 20])
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
-    _, duals, _ = solve_rmp(state, graph, params)
+    _, duals, _ = solve_rmp(state)
     assert sum(duals.values()) == pytest.approx(1.0)
-
-
-def test_phase_one_duals_zero_when_feasible():
-    graph = chain_graph([2, 4, 2], [10, 20])
-    params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
-    duals = phase_one_duals(graph, {n: CLIENT for n in graph.node_ids}, params)
-    assert duals is not None
-    assert max(duals.values()) <= 1e-9
-
-
-def test_phase_one_duals_positive_when_infeasible():
-    # Serial needs 30 slots but T = 10: some dependency row must be priced.
-    graph = chain_graph([10, 10, 10], [1, 1])
-    params = toy_params(f_c_hz=1.0, f_s_hz=1.0, deadline_slots=10)
-    duals = phase_one_duals(graph, {n: CLIENT for n in graph.node_ids}, params)
-    assert duals is not None
-    assert max(duals.values()) > 0.1
-
-
-def test_phase_one_duals_over_budget_returns_none():
-    graph = chain_graph([1, 1, 1], [1, 1])
-    params = toy_params(f_c_hz=1.0)
-    assert phase_one_duals(graph, {n: CLIENT for n in graph.node_ids}, params, simplex_budget=1) is None
 
 
 # --- reduced cost ------------------------------------------------------------
@@ -140,15 +116,15 @@ def test_reduced_cost_hand_arithmetic():
         graph, params, {1: 2, 2: 6, 3: 8}, {(1, 2): 0.3, (2, 3): 0.2}
     )
     # zeta_2(t) = 15 - 0.3(t - 4) - 0.2(6 - t) = 15 - 0.1t
-    assert reduced_cost(2, 5, state, graph, params) == pytest.approx(14.5)
-    assert reduced_cost(2, 10, state, graph, params) == pytest.approx(14.0)
+    assert reduced_cost(2, 5, state) == pytest.approx(14.5)
+    assert reduced_cost(2, 10, state) == pytest.approx(14.0)
 
 
 def test_reduced_cost_zero_duals_is_transfer_only():
     graph = chain_graph([2, 4, 2], [10, 20])
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0, theta_up=0.5, theta_down=0.25)
     state = _hand_state(graph, params, {1: 2, 2: 6, 3: 8}, {})
-    assert reduced_cost(2, 7, state, graph, params) == pytest.approx(10 * 0.5 + 20 * 0.25)
+    assert reduced_cost(2, 7, state) == pytest.approx(10 * 0.5 + 20 * 0.25)
 
 
 def test_reduced_cost_uplink_term_vanishes_for_server_parents():
@@ -159,7 +135,7 @@ def test_reduced_cost_uplink_term_vanishes_for_server_parents():
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0, theta_up=1.0, theta_down=0.0001)
     state = _hand_state(graph, params, {1: 1, 2: 20, 3: 40, 4: 60}, {}, server={2})
     # Candidate 3's only parent (2) is on the server: no theta_up term.
-    assert reduced_cost(3, 45, state, graph, params) == pytest.approx(10 * 0.0001)
+    assert reduced_cost(3, 45, state) == pytest.approx(10 * 0.0001)
 
 
 def test_reduced_cost_rejects_non_candidates():
@@ -167,25 +143,35 @@ def test_reduced_cost_rejects_non_candidates():
     params = toy_params(f_c_hz=1.0)
     state = initial_rmp(graph, params)
     with pytest.raises(ValueError):
-        reduced_cost(1, 1, state, graph, params)
+        reduced_cost(1, 1, state)
 
 
 # --- column selection --------------------------------------------------------
 
+def _table(nodes, zetas):
+    ones = np.ones(len(nodes), dtype=np.int64)
+    return PricingTable(
+        np.array(nodes, dtype=np.int64), ones, ones, ones, np.array(zetas, dtype=float)
+    )
+
+
 def test_cs_argmin():
-    assert solve_cs([(2, -3.0), (4, -1.0)]) == 2
+    assert _table([2, 4], [-3.0, -1.0]).best(set()).node == 2
 
 
 def test_cs_tie_breaks_to_smallest_id():
-    assert solve_cs([(3, -1.0), (2, -1.0)]) == 2
+    assert _table([2, 3], [-1.0, -1.0]).best(set()).node == 2
+    assert _table([2, 3, 5], [-1.0, -1.0, -1.0]).best({2}).node == 3
 
 
 def test_cs_nonnegative_still_returns_argmin():
-    assert solve_cs([(5, 2.0), (3, 1.0)]) == 3
+    column = _table([3, 5], [1.0, 2.0]).best(set())
+    assert (column.node, column.reduced_cost) == (3, 1.0)
 
 
 def test_cs_empty_signals_no_column():
-    assert solve_cs([]) is None
+    assert _table([], []).best(set()) is None
+    assert _table([2], [-1.0]).best({2}) is None
 
 
 # --- slot windows ------------------------------------------------------------
@@ -200,14 +186,14 @@ def _window_fixture():
 
 def test_feasible_slot_range_example():
     graph, params, state = _window_fixture()
-    assert feasible_slot_range(2, state, graph, params) == (8, 9)
+    assert feasible_slot_range(2, state) == (8, 9)
 
 
 def test_feasible_slot_range_empty():
     graph, params, state = _window_fixture()
     state.schedule[3] = 9  # child too early
     with pytest.raises(NoFeasibleSlotError):
-        feasible_slot_range(2, state, graph, params)
+        feasible_slot_range(2, state)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -220,7 +206,7 @@ def test_every_slot_in_window_is_feasible(seed):
     state = initial_rmp(graph, params)
     for node in graph.interior_ids():
         try:
-            t_min, t_max = feasible_slot_range(node, state, graph, params)
+            t_min, t_max = feasible_slot_range(node, state)
         except NoFeasibleSlotError:
             continue
         for t in range(t_min, t_max + 1):
@@ -235,7 +221,7 @@ def test_every_slot_in_window_is_feasible(seed):
 def test_td_width_one_window():
     graph, params, state = _window_fixture()
     state.schedule[3] = 11  # window shrinks to [8, 8]
-    slot, _ = solve_td(2, state, graph, params)
+    slot, _ = solve_td(2, state)
     assert slot == 8
 
 
@@ -243,14 +229,14 @@ def test_td_parent_duals_pull_to_latest_slot():
     # Only parent rows priced: zeta decreases in t, so the scan picks t_max.
     graph, params, state = _window_fixture()
     state.duals = {(1, 2): 0.5}
-    slot, _ = solve_td(2, state, graph, params)
+    slot, _ = solve_td(2, state)
     assert slot == 9
 
 
 def test_td_child_duals_pull_to_earliest_slot():
     graph, params, state = _window_fixture()
     state.duals = {(2, 3): 0.5}
-    slot, _ = solve_td(2, state, graph, params)
+    slot, _ = solve_td(2, state)
     assert slot == 8
 
 
@@ -276,7 +262,7 @@ def _enumerate_bip(node, state, graph, params):
                 ok = False
         if not ok:
             continue
-        zeta = reduced_cost(node, t, state, graph, params)
+        zeta = reduced_cost(node, t, state)
         if best is None or zeta < best[1]:
             best = (t, zeta)
     return best
@@ -290,14 +276,14 @@ def test_td_matches_exhaustive_enumeration(seed):
     )
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=50, theta_up=0.01, theta_down=0.01)
     state = initial_rmp(graph, params)
-    solve_rmp(state, graph, params)
+    solve_rmp(state)
     for node in graph.interior_ids():
         expected = _enumerate_bip(node, state, graph, params)
         if expected is None:
             with pytest.raises(NoFeasibleSlotError):
-                solve_td(node, state, graph, params)
+                solve_td(node, state)
             continue
-        slot, zeta = solve_td(node, state, graph, params)
+        slot, zeta = solve_td(node, state)
         assert slot == expected[0]
         assert zeta == pytest.approx(expected[1], rel=1e-12)
 
@@ -307,19 +293,19 @@ def test_td_matches_exhaustive_enumeration(seed):
 def test_npp_single_candidate_reduces_to_td():
     graph, params, state = _window_fixture()
     state.duals = {(1, 2): 0.2, (2, 3): 0.1}
-    column, r_value = solve_npp(state, graph, params)
-    slot, zeta = solve_td(2, state, graph, params)
+    column = _price_all(state).best(state.blacklist)
+    slot, zeta = solve_td(2, state)
     assert column.node == 2
     assert column.slot == slot
-    assert r_value == zeta
+    assert column.reduced_cost == zeta
 
 
 def test_npp_no_feasible_candidate():
     graph, params, state = _window_fixture()
     state.schedule[3] = 9
-    column, r_value = solve_npp(state, graph, params)
-    assert column is None
-    assert r_value == 0.0
+    table = _price_all(state)
+    assert table.node.size == 0
+    assert table.best(state.blacklist) is None
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -330,14 +316,19 @@ def test_npp_dominates_full_grid(seed):
     )
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=60, theta_up=0.05, theta_down=0.02)
     state = initial_rmp(graph, params)
-    solve_rmp(state, graph, params)
-    column, r_value = solve_npp(state, graph, params)
+    solve_rmp(state)
+    table = _price_all(state)
+    column = table.best(state.blacklist)
     if column is None:
         return
     for node in graph.interior_ids():
         got = _enumerate_bip(node, state, graph, params)
         if got is not None:
-            assert r_value <= got[1] + 1e-12
+            assert column.reduced_cost <= got[1] + 1e-12
+    # The table prices the full grid: its sign agrees with the enumeration.
+    grid_nonneg, _ = _grid_verification(state, table)
+    enumerated = [_enumerate_bip(n, state, graph, params) for n in graph.interior_ids()]
+    assert grid_nonneg == all(got[1] >= 0.0 for got in enumerated if got is not None)
 
 
 # --- energy delta ------------------------------------------------------------
@@ -360,7 +351,7 @@ def test_delta_psi_matches_recomputation(seed):
         state.server_set.add(node)
         after = worst_case_expected_energy(graph, state.decision(), params).psi
         state.server_set.discard(node)
-        assert delta_psi(node, state, graph, params) == pytest.approx(after - before, rel=1e-9)
+        assert delta_psi(node, state) == pytest.approx(after - before, rel=1e-9)
 
 
 # --- full solve --------------------------------------------------------------
@@ -449,8 +440,8 @@ def test_solve_admitted_slot_within_precomputed_window():
         z_up_s=3.0, z_down_s=2.0, deadline_slots=100,
     )
     state = initial_rmp(graph, params)
-    solve_rmp(state, graph, params)
-    window = feasible_slot_range(2, state, graph, params)
+    solve_rmp(state)
+    window = feasible_slot_range(2, state)
     result = solve(graph, params, 0.0)
     assert result.decision.server_set() == {2}
     assert window[0] <= result.decision.slot[2] <= window[1]
@@ -494,3 +485,16 @@ def test_attribution_bound_below_every_assignment():
         except InfeasibleError:
             continue
         assert floor <= oracle.psi_star + 1e-9 * max(1.0, oracle.psi_star)
+
+
+def test_transfer_slots_beyond_int64_leave_nothing_to_offload():
+    # 1e30 s is a finite quantile of 1e30 slots, far beyond int64: no
+    # transfer fits before the deadline, so every window is empty.
+    graph = chain_graph([1, 30, 1], [1, 1])
+    params = toy_params(
+        f_c_hz=1.0, f_s_hz=2.0, kappa=1.0, theta_up=0.001, theta_down=0.001,
+        z_up_s=1e30, z_down_s=1e30, deadline_slots=100,
+    )
+    result = solve(graph, params, 0.0)
+    assert result.decision.server_set() == set()
+    assert result.exit_reason == "no_column"

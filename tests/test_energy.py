@@ -7,14 +7,9 @@ from evtoffload.energy import (
     CLIENT,
     SERVER,
     OffloadDecision,
-    RealizedTraces,
     SystemParams,
-    TraceExhaustedError,
     check_constraints,
-    dependency_bound_download,
-    dependency_bound_upload,
     exec_slots,
-    realized_energy,
     slot_table,
     worst_case_expected_energy,
 )
@@ -62,6 +57,36 @@ def test_params_validation():
         SystemParams(eps_m_up=1.0)
     with pytest.raises(ValueError):
         SystemParams(epsilon=1.0)
+
+
+FLOAT_FIELDS = [
+    "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
+    "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
+]
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        SystemParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, "5000"])
+def test_params_reject_non_integral_deadline(value):
+    with pytest.raises(ValueError, match="deadline_slots"):
+        SystemParams(deadline_slots=value)
+
+
+def test_params_accept_integral_float_deadline():
+    params = SystemParams(deadline_slots=5000.0)
+    assert params.deadline_slots == 5000 and isinstance(params.deadline_slots, int)
+    assert params == SystemParams()
+
+
+def test_params_reject_int_beyond_float_range():
+    with pytest.raises(ValueError, match="z_up_s"):
+        SystemParams(z_up_s=10**400)
 
 
 def test_params_json_roundtrip(tmp_path):
@@ -152,49 +177,6 @@ def test_energy_decomposition_exact():
     )
     r = worst_case_expected_energy(graph, decision, params)
     assert r.psi == r.local_exec_energy + r.uplink_energy + r.downlink_energy
-
-
-# --- dependency bounds ------------------------------------------------------
-
-def test_dependency_bound_values():
-    graph = chain_graph([1, 4, 1], [1, 1])
-    params = toy_params(f_s_hz=2.0)
-    decision = OffloadDecision(
-        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 5, 2: 9, 3: 20}
-    )
-    # exec_s(2) = ceil(4/2) = 2, so b = 9 - 5 - 2 = 2
-    assert dependency_bound_upload(graph, decision, 1, 2, params) == 2
-    # same-slot parent/child gives a negative bound
-    decision.slot[2] = 5
-    assert dependency_bound_upload(graph, decision, 1, 2, params) < 0
-
-
-def test_dependency_bound_matches_literal_slot_vector_form():
-    rng = np.random.default_rng(5)
-    graph = chain_graph([3, 6, 4, 2], [5, 5, 5])
-    params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=60)
-    for _ in range(20):
-        slots = {}
-        t = 0
-        for n in graph.node_ids:
-            t += int(rng.integers(1, 6))
-            slots[n] = t
-        decision = OffloadDecision({n: CLIENT for n in graph.node_ids}, slots)
-        for e in graph.edges:
-            # Literal evaluation over the 1-sparse slot indicator vectors.
-            x = {n: np.zeros(params.deadline_slots + 1) for n in graph.node_ids}
-            for n, s in slots.items():
-                x[n][s] = 1.0
-            t_axis = np.arange(params.deadline_slots + 1)
-            completion = lambda n: float(np.dot(t_axis, x[n]))
-            lit_up = completion(e.dst) - completion(e.src) - exec_slots(
-                graph.workload(e.dst), params.f_s_hz, params.delta_s
-            )
-            lit_down = completion(e.dst) - completion(e.src) - exec_slots(
-                graph.workload(e.dst), params.f_c_hz, params.delta_s
-            )
-            assert dependency_bound_upload(graph, decision, e.src, e.dst, params) == lit_up
-            assert dependency_bound_download(graph, decision, e.src, e.dst, params) == lit_down
 
 
 # --- constraint checking ----------------------------------------------------
@@ -292,36 +274,3 @@ def test_tightening_z_never_shrinks_violations(seed):
     before = {v.key() for v in check_constraints(graph, decision, base)}
     after = {v.key() for v in check_constraints(graph, decision, tight)}
     assert before <= after
-
-
-# --- realized energy --------------------------------------------------------
-
-def test_realized_energy_all_local_ignores_traces():
-    graph = chain_graph([2, 3, 2], [10, 10])
-    params = toy_params(kappa=1.0, f_c_hz=1.0)
-    decision = _all_local(graph, params)
-    value = realized_energy(graph, decision, RealizedTraces(up=[], down=[]), params)
-    assert value == 7.0
-
-
-def test_realized_energy_single_uplink():
-    graph = chain_graph([0, 1, 0], [8, 8])
-    params = toy_params(kappa=1e-30)
-    decision = OffloadDecision(
-        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 0, 2: 10, 3: 20}
-    )
-    value = realized_energy(
-        graph, decision, RealizedTraces(up=[(4.0, 2.0)], down=[(8.0, 1.0)]), params
-    )
-    # uplink: 2 * 8 / 4 = 4; downlink: 1 * 8 / 8 = 1; local ~ 0
-    assert value == pytest.approx(5.0, abs=1e-20)
-
-
-def test_realized_energy_trace_exhaustion():
-    graph = chain_graph([0, 1, 0], [8, 8])
-    params = toy_params(kappa=1e-30)
-    decision = OffloadDecision(
-        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 0, 2: 10, 3: 20}
-    )
-    with pytest.raises(TraceExhaustedError):
-        realized_energy(graph, decision, RealizedTraces(up=[], down=[]), params)
