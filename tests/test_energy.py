@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,13 +9,20 @@ from evtoffload.energy import (
     SERVER,
     OffloadDecision,
     SystemParams,
+    TraceExhaustedError,
     check_constraints,
     exec_slots,
     slot_table,
     worst_case_expected_energy,
 )
 from evtoffload.oracle import earliest_completion
-from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
+from evtoffload.simulate import (
+    DistSpec,
+    LayeredDagSpec,
+    TraceModel,
+    gen_layered_dag,
+    simulate_execution,
+)
 
 from conftest import chain_graph, toy_params
 
@@ -179,6 +187,68 @@ def test_energy_decomposition_exact():
     assert r.psi == r.local_exec_energy + r.uplink_energy + r.downlink_energy
 
 
+# --- dependency bounds ------------------------------------------------------
+
+def _dependency_bounds(graph, decision, params) -> dict[tuple[int, int], int]:
+    """Edge -> bound reported by check_constraints, for violated edges only."""
+    return {
+        v.subject: int(re.search(r"has bound (-?\d+)$", v.detail).group(1))
+        for v in check_constraints(graph, decision, params)
+        if v.kind == "dependency"
+    }
+
+
+def test_dependency_bound_values():
+    graph = chain_graph([1, 4, 1], [1, 1])
+    # z_up = 3 slots, one more than the bound of edge 1->2, so it is reported.
+    params = toy_params(f_s_hz=2.0, z_up_s=3.0)
+    decision = OffloadDecision(
+        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 5, 2: 9, 3: 20}
+    )
+    # exec_s(2) = ceil(4/2) = 2, so b = 9 - 5 - 2 = 2
+    assert _dependency_bounds(graph, decision, params)[(1, 2)] == 2
+    # same-slot parent/child gives a negative bound
+    decision.slot[2] = 5
+    assert _dependency_bounds(graph, decision, params)[(1, 2)] < 0
+
+
+def test_dependency_bound_matches_literal_slot_vector_form():
+    rng = np.random.default_rng(5)
+    graph = chain_graph([3, 6, 4, 2], [5, 5, 5])
+    params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=60)
+    t_axis = np.arange(params.deadline_slots + 1)
+    for _ in range(20):
+        slots = {}
+        t = 0
+        for n in graph.node_ids:
+            t += int(rng.integers(0, 6))
+            slots[n] = t
+        location = {n: CLIENT for n in graph.node_ids}
+        for n in graph.node_ids[1:-1]:
+            location[n] = SERVER if rng.integers(2) else CLIENT
+        decision = OffloadDecision(location, slots)
+        # Literal evaluation over the 1-sparse slot indicator vectors.
+        x = {n: np.zeros(params.deadline_slots + 1) for n in graph.node_ids}
+        for n, s in slots.items():
+            x[n][s] = 1.0
+        completion = lambda n: float(np.dot(t_axis, x[n]))
+        expected = {}
+        for e in graph.edges:
+            f_dst = params.f_c_hz if location[e.dst] == CLIENT else params.f_s_hz
+            literal = completion(e.dst) - completion(e.src) - exec_slots(
+                graph.workload(e.dst), f_dst, params.delta_s
+            )
+            if location[e.src] == CLIENT and location[e.dst] == SERVER:
+                required = params.z_up_slots
+            elif location[e.src] == SERVER and location[e.dst] == CLIENT:
+                required = params.z_down_slots
+            else:
+                required = 0
+            if literal < required:
+                expected[(e.src, e.dst)] = literal
+        assert _dependency_bounds(graph, decision, params) == expected
+
+
 # --- constraint checking ----------------------------------------------------
 
 def test_serial_all_local_schedule_is_feasible():
@@ -274,3 +344,57 @@ def test_tightening_z_never_shrinks_violations(seed):
     before = {v.key() for v in check_constraints(graph, decision, base)}
     after = {v.key() for v in check_constraints(graph, decision, tight)}
     assert before <= after
+
+
+# --- realized energy --------------------------------------------------------
+
+def _replay_model(up, down) -> TraceModel:
+    """Empirical replay of (rate, power) pairs with empty queues."""
+    def trace(values):
+        return DistSpec("empirical", {"values": list(values)})
+
+    return TraceModel(
+        rate_up=trace(r for r, _ in up),
+        rate_down=trace(r for r, _ in down),
+        queue_up_bits=trace([0.0] * len(up)),
+        queue_down_bits=trace([0.0] * len(down)),
+        power_up=trace(p for _, p in up),
+        power_down=trace(p for _, p in down),
+        rate_floor_bps=1.0,
+        seed=0,
+    )
+
+
+def _realized_energy(graph, decision, model, params) -> float:
+    return simulate_execution(graph, decision, model, params, np.random.default_rng(0)).energy
+
+
+def test_realized_energy_all_local_ignores_traces():
+    graph = chain_graph([2, 3, 2], [10, 10])
+    params = toy_params(kappa=1.0, f_c_hz=1.0)
+    decision = _all_local(graph, params)
+    value = _realized_energy(graph, decision, _replay_model(up=[], down=[]), params)
+    assert value == 7.0
+
+
+def test_realized_energy_single_uplink():
+    graph = chain_graph([0, 1, 0], [8, 8])
+    params = toy_params(kappa=1e-30)
+    decision = OffloadDecision(
+        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 0, 2: 10, 3: 20}
+    )
+    value = _realized_energy(
+        graph, decision, _replay_model(up=[(4.0, 2.0)], down=[(8.0, 1.0)]), params
+    )
+    # uplink: 2 * 8 / 4 = 4; downlink: 1 * 8 / 8 = 1; local ~ 0
+    assert value == pytest.approx(5.0, abs=1e-20)
+
+
+def test_realized_energy_trace_exhaustion():
+    graph = chain_graph([0, 1, 0], [8, 8])
+    params = toy_params(kappa=1e-30)
+    decision = OffloadDecision(
+        {1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 0, 2: 10, 3: 20}
+    )
+    with pytest.raises(TraceExhaustedError):
+        _realized_energy(graph, decision, _replay_model(up=[], down=[]), params)
