@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -68,6 +69,12 @@ def cmd_fit(args) -> int:
     out["z_down_s"] = gev_quantile(fits["v_down"], args.eps_m_down)
     out["theta_up"] = gev_mean(fits["j"])
     out["theta_down"] = gev_mean(fits["h"])
+    for key, name in (("z_up_s", "v_up"), ("z_down_s", "v_down"),
+                      ("theta_up", "j"), ("theta_down", "h")):
+        if not math.isfinite(out[key]):
+            raise ValueError(
+                f"fitted {key} is {out[key]}: the GEV fit of {name} has xi = {fits[name].xi}"
+            )
     out["eps_m_up"] = args.eps_m_up
     out["eps_m_down"] = args.eps_m_down
     out["block_size_k"] = args.k

@@ -7,8 +7,19 @@ incrementally: an admitted column places its node at the completion slot
 chosen by pricing and leaves every other slot untouched, which is what
 preserves the slack the pricing windows need.
 
+The loop state lives in per-solve numpy arrays (`SolverState`): an
+on-server mask, the schedule and the blacklist, indexed by node id, and the
+dual price of each edge.  It becomes an `OffloadDecision` once, at exit,
+where the scalar `check_constraints` and `worst_case_expected_energy` guard
+the returned decision.  Each master step is one pass over the edge arrays
+of `PricingCore`: every edge's margin - its slots beyond its transfer and
+its head's execution - decides feasibility together with the deadline,
+slot-range, endpoint and source-execution tests, and psi is the
+correctly rounded sum (`math.fsum`) of per-solve energy terms under the
+location mask, bit for bit the value `worst_case_expected_energy` gives.
+
 Dual prices are tightness weights: each dependency edge is priced
-1/(1 + slack) of the current schedule, normalized to sum 1.  The master is
+1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
 only ever priced after its feasibility check has passed, and the exact LP
 duals of a feasible master are all zero, so these weights are what steers
 pricing.
@@ -19,18 +30,18 @@ Pricing follows the reduced-cost form
              - sum_m pi_mn b_mn - sum_k pi_nk b_nk
 
 which is affine in the completion slot t of the candidate.  Every round
-prices all candidates in one vectorised pass over edge arrays built once
-per solve (`PricingCore`): windows and coefficients come from per-node
-reductions over an incidence list, with each coefficient summed in the same
-order as a scalar loop.  The minimizing slot is read off the sign of the
-slope - the window's first slot when zeta rises, its last when it falls -
-whenever the slope exceeds a rigorous bound on the rounding error of the
-computed curve.  Within that bound the computed curve need not be monotone,
-so the window is scanned slot by slot, which gives exactly the slot and
-value a full scan gives (smallest slot on ties).  A column is admitted only
-if it strictly lowers the energy objective; otherwise it is blacklisted for
-later rounds.  An admission that breaks master feasibility is rolled back
-when the next master check signals it.
+prices all candidates in one vectorised pass over the same edge arrays:
+windows and coefficients come from per-node reductions over an incidence
+list, with each coefficient summed in the same order as a scalar loop.  The
+minimizing slot is read off the sign of the slope - the window's first slot
+when zeta rises, its last when it falls - whenever the slope exceeds a
+rigorous bound on the rounding error of the computed curve.  Within that
+bound the computed curve need not be monotone, so the window is scanned
+slot by slot, which gives exactly the slot and value a full scan gives
+(smallest slot on ties).  A column is admitted only if it strictly lowers
+the energy objective; otherwise it is blacklisted for later rounds.  An
+admission that breaks master feasibility is rolled back when the next
+master check signals it.
 
 Bound bookkeeping: r_underbar records the pricing value of each round, but
 psi_lower is held at a provable combinatorial floor on psi (see
@@ -112,13 +123,14 @@ class PricingTable:
     slot: np.ndarray
     zeta: np.ndarray
 
-    def best(self, blacklist: set[int]) -> PricedColumn | None:
-        """Column selection: the most negative zeta outside the blacklist,
-        ties to the smallest id; None when no candidate is left."""
-        open_idx = [i for i, node in enumerate(self.node.tolist()) if node not in blacklist]
-        if not open_idx:
+    def best(self, blacklist: np.ndarray) -> PricedColumn | None:
+        """Column selection: the most negative zeta outside the blacklist (a
+        boolean mask by node id), ties to the smallest id; None when no
+        candidate is left."""
+        open_idx = np.flatnonzero(~blacklist[self.node])
+        if not open_idx.size:
             return None
-        i = open_idx[int(np.argmin(self.zeta[open_idx]))]
+        i = open_idx[np.argmin(self.zeta[open_idx])]
         return PricedColumn(
             int(self.node[i]), float(self.zeta[i]), int(self.t_min[i]), int(self.t_max[i]),
             int(self.slot[i]),
@@ -126,7 +138,8 @@ class PricingTable:
 
 
 class PricingCore:
-    """Edge arrays of one solve; prices every candidate of a round at once.
+    """Edge arrays of one solve: the master pass and the pricing of every
+    candidate of a round, each at once.
 
     Node-indexed arrays have length N + 1 and are indexed by node id, so ids
     must be 1..N.  The incidence list holds, for each interior node, its
@@ -140,11 +153,21 @@ class PricingCore:
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
         self.size = max(ids, default=0) + 1
-        self.interior = sorted(graph.interior_ids())
+        self.last = graph.n_nodes
+        self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
+        self.sources = np.array([n for n in ids if not graph.parents[n]], dtype=np.int64)
         self.edge_keys = [(e.src, e.dst) for e in graph.edges]
         self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
         self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
         self.bits = np.array([e.bits for e in graph.edges], dtype=float)
+
+        # The energy terms of `worst_case_expected_energy`, as the same
+        # Python float products; index 0 of the local terms is no node and 0.
+        coef = params.kappa * params.f_c_hz * params.f_c_hz
+        self.local_energy = np.zeros(self.size)
+        self.local_energy[self.ids] = [coef * m.workload_cycles for m in graph.modules]
+        self.up_energy = np.array([e.bits * params.theta_up for e in graph.edges], dtype=float)
+        self.down_energy = np.array([e.bits * params.theta_down for e in graph.edges], dtype=float)
 
         # A slot count beyond T + 1 empties every window and fails every
         # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
@@ -173,25 +196,48 @@ class PricingCore:
         self.inc_parent = np.array(is_parent, dtype=bool)
         self.inc_other = np.where(self.inc_parent, self.src[self.inc_edge], self.dst[self.inc_edge])
 
-    def round_arrays(self, state: SolverState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(on-server mask, schedule) by node id and the dual price of each edge."""
-        on_server = np.zeros(self.size, dtype=bool)
-        on_server[list(state.server_set)] = True
-        sched = np.zeros(self.size, dtype=np.int64)
-        sched[self.ids] = [state.schedule[n] for n in self.node_ids]
-        pi = np.array([state.duals.get(key, 0.0) for key in self.edge_keys], dtype=float)
-        return on_server, sched, pi
-
     def _exec_at(self, nodes: np.ndarray, on_server: np.ndarray) -> np.ndarray:
         return np.where(on_server[nodes], self.server_slots[nodes], self.client_slots[nodes])
 
-    def slack(self, on_server: np.ndarray, sched: np.ndarray) -> np.ndarray:
-        """Slots of each edge's gap beyond its transfer and head execution, >= 0."""
-        up = ~on_server[self.src] & on_server[self.dst]
-        down = on_server[self.src] & ~on_server[self.dst]
+    def _crossings(self, on_server: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(uplink, downlink) masks of the edges."""
+        src, dst = on_server[self.src], on_server[self.dst]
+        return ~src & dst, src & ~dst
+
+    def master_check(self, on_server: np.ndarray, sched: np.ndarray) -> np.ndarray | None:
+        """Each edge's margin when the schedule passes the master check, else None.
+
+        The margin is the slots of an edge's gap beyond its transfer and its
+        head's execution.  The check is `check_constraints(...) == []`: every
+        margin >= 0, the endpoints on the client, every slot in 0..T (which
+        holds the deadline on node N) and every source done executing.
+        """
+        up, down = self._crossings(on_server)
         transfer = np.where(up, self.z_up, np.where(down, self.z_down, 0))
-        gap = sched[self.dst] - sched[self.src]
-        return np.maximum(gap - transfer - self._exec_at(self.dst, on_server), 0)
+        margin = sched[self.dst] - sched[self.src] - transfer - self._exec_at(self.dst, on_server)
+        slots = sched[self.ids]
+        feasible = (
+            not (on_server[1] or on_server[self.last])
+            and 0 <= slots.min()
+            and slots.max() <= self.params.deadline_slots
+            and (margin >= 0).all()
+            and (sched[self.sources] >= self._exec_at(self.sources, on_server)).all()
+        )
+        return margin if feasible else None
+
+    def psi(self, on_server: np.ndarray) -> float:
+        """`worst_case_expected_energy(...).psi` of the locations, bit for bit.
+
+        `math.fsum` is correctly rounded, so each part equals the scalar sum
+        of the same terms; the parts are added in the same order.
+        """
+        up, down = self._crossings(on_server)
+        local = math.fsum(self.local_energy[~on_server].tolist())
+        return (
+            local
+            + math.fsum(self.up_energy[up].tolist())
+            + math.fsum(self.down_energy[down].tolist())
+        )
 
     def windows(self, on_server: np.ndarray, sched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(t_min, t_max) by node id for moving each interior node to the server.
@@ -241,7 +287,7 @@ class PricingCore:
 
     def price(self, state: SolverState, nodes) -> PricingTable:
         """Best slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
-        on_server, sched, pi = self.round_arrays(state)
+        on_server, sched, pi = state.on_server, state.schedule, state.duals
         t_min, t_max = self.windows(on_server, sched)
         nodes = np.asarray(nodes, dtype=np.int64)
         nodes = nodes[t_min[nodes] <= t_max[nodes]]
@@ -283,31 +329,42 @@ class Bounds:
 
 @dataclass
 class SolverState:
-    """Mutable solve-loop state: locations, schedule, prices and bounds."""
+    """Mutable solve-loop state: locations, schedule, prices and bounds.
+
+    `on_server`, `blacklist` (boolean masks) and `schedule` (completion
+    slots) are indexed by node id, `duals` by edge in `graph.edges` order.
+    A new state is all-local at slot 0 with zero prices.
+    """
 
     graph: TaskGraph
     params: SystemParams
-    server_set: set[int] = field(default_factory=set)
-    blacklist: set[int] = field(default_factory=set)
-    schedule: dict[int, int] = field(default_factory=dict)
-    duals: dict[tuple[int, int], float] = field(default_factory=dict)
     psi_upper: float = math.inf
     psi_lower: float = 0.0
     r_underbar: float = math.inf
     iterations: int = 0
     core: PricingCore = field(init=False, repr=False, compare=False)
+    on_server: np.ndarray = field(init=False, repr=False, compare=False)
+    blacklist: np.ndarray = field(init=False, repr=False, compare=False)
+    schedule: np.ndarray = field(init=False, repr=False, compare=False)
+    duals: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.core = PricingCore(self.graph, self.params)
+        self.core = core = PricingCore(self.graph, self.params)
+        self.on_server = np.zeros(core.size, dtype=bool)
+        self.blacklist = np.zeros(core.size, dtype=bool)
+        self.schedule = np.zeros(core.size, dtype=np.int64)
+        self.duals = np.zeros(len(core.edge_keys))
 
     def location(self, node: int) -> str:
-        return SERVER if node in self.server_set else CLIENT
-
-    def location_map(self) -> dict[int, str]:
-        return {n: self.location(n) for n in self.graph.node_ids}
+        return SERVER if self.on_server[node] else CLIENT
 
     def decision(self) -> OffloadDecision:
-        return OffloadDecision(location=self.location_map(), slot=dict(self.schedule))
+        ids = self.core.ids
+        server = self.on_server[ids].tolist()
+        return OffloadDecision(
+            location={n: SERVER if s else CLIENT for n, s in zip(self.core.node_ids, server)},
+            slot=dict(zip(self.core.node_ids, self.schedule[ids].tolist())),
+        )
 
 
 @dataclass
@@ -336,39 +393,34 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
         raise InfeasibleError(
             f"deadline too tight for local execution ({total} > {params.deadline_slots} slots)"
         )
-    schedule: dict[int, int] = {}
-    clock = 0
-    for node in order:
-        clock += slots.client[node]
-        schedule[node] = clock
     state = SolverState(graph=graph, params=params)
-    state.schedule = schedule
-    state.psi_upper = worst_case_expected_energy(graph, state.decision(), params).psi
+    # The total fits the deadline, so every partial sum fits in int64.
+    state.schedule[order] = np.cumsum([slots.client[n] for n in order])
+    state.psi_upper = state.core.psi(state.on_server)
     state.psi_lower = 0.0
     return state
 
 
-def tightness_duals(state: SolverState) -> dict[tuple[int, int], float]:
+def tightness_duals(slack: np.ndarray) -> np.ndarray:
     """Prices 1/(1 + slack) per dependency edge, normalized to sum 1."""
-    core = state.core
-    on_server, sched, _ = core.round_arrays(state)
-    weights = 1.0 / (1.0 + core.slack(on_server, sched))
-    return dict(zip(core.edge_keys, (weights / math.fsum(weights)).tolist()))
+    weights = 1.0 / (1.0 + slack)
+    return weights / math.fsum(weights.tolist())
 
 
-def solve_rmp(state: SolverState) -> tuple[float, dict[tuple[int, int], float], dict[int, int]]:
+def solve_rmp(state: SolverState) -> tuple[float, np.ndarray, np.ndarray]:
     """Feasibility-check the current schedule; refresh the bound and duals.
 
-    Raises RmpInfeasible when the schedule violates any master constraint,
-    which tells the caller to reject the most recently added column.
+    Returns (psi_upper, duals, schedule).  Raises RmpInfeasible when the
+    schedule violates any master constraint, which tells the caller to
+    reject the most recently added column.  On a feasible schedule every
+    edge margin is its slack, so the check and the duals share one pass.
     """
-    decision = state.decision()
-    violations = check_constraints(state.graph, decision, state.params)
-    if violations:
-        raise RmpInfeasible(violations[0].detail)
-    state.psi_upper = worst_case_expected_energy(state.graph, decision, state.params).psi
-    state.duals = tightness_duals(state)
-    return state.psi_upper, state.duals, dict(state.schedule)
+    margin = state.core.master_check(state.on_server, state.schedule)
+    if margin is None:
+        raise RmpInfeasible("the schedule violates a master constraint")
+    state.psi_upper = state.core.psi(state.on_server)
+    state.duals = tightness_duals(margin)
+    return state.psi_upper, state.duals, state.schedule
 
 
 def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
@@ -377,8 +429,7 @@ def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
     Every slot in the window keeps all constraints touching the node
     satisfied with the rest of the schedule unchanged.
     """
-    on_server, sched, _ = state.core.round_arrays(state)
-    t_min, t_max = state.core.windows(on_server, sched)
+    t_min, t_max = state.core.windows(state.on_server, state.schedule)
     if t_min[node] > t_max[node]:
         raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
     return int(t_min[node]), int(t_max[node])
@@ -386,9 +437,9 @@ def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
 
 def reduced_cost(node: int, slot: int, state: SolverState) -> float:
     """zeta for moving `node` to the server, completing at `slot`."""
-    if node in state.server_set or node in (1, state.graph.n_nodes):
+    if state.on_server[node] or node in (1, state.graph.n_nodes):
         raise ValueError(f"node {node} is not a pricing candidate")
-    coef = state.core.coefficients(*state.core.round_arrays(state))
+    coef = state.core.coefficients(state.on_server, state.schedule, state.duals)
     return float(_zeta(*(c[node] for c in coef), float(slot)))
 
 
@@ -406,8 +457,12 @@ def solve_td(node: int, state: SolverState) -> tuple[int, float]:
 
 def _price_all(state: SolverState) -> PricingTable:
     """Price every interior client node, blacklisted ones included."""
-    candidates = [n for n in state.core.interior if n not in state.server_set]
-    return state.core.price(state, candidates)
+    return state.core.price(state, _client_interior(state))
+
+
+def _client_interior(state: SolverState) -> np.ndarray:
+    interior = state.core.interior
+    return interior[~state.on_server[interior]]
 
 
 def delta_psi(node: int, state: SolverState) -> float:
@@ -463,11 +518,7 @@ def _grid_verification(state: SolverState, table: PricingTable) -> tuple[bool, b
     the whole window.
     """
     grid_nonneg = not bool((table.zeta < 0.0).any())
-    stationary = not any(
-        delta_psi(node, state) < 0
-        for node in state.core.interior
-        if node not in state.server_set
-    )
+    stationary = not any(delta_psi(node, state) < 0 for node in _client_interior(state).tolist())
     return grid_nonneg, stationary
 
 
@@ -507,10 +558,10 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
                 if last_admission is None:
                     raise
                 node, prev_slot = last_admission
-                state.server_set.discard(node)
+                state.on_server[node] = False
                 state.schedule[node] = prev_slot
                 state.iterations -= 1
-                state.blacklist.add(node)
+                state.blacklist[node] = True
                 solve_rmp(state)
             last_admission = None
             table = _price_all(state)
@@ -536,14 +587,14 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
             node = column.node
             admitted: int | None = None
             if delta_psi(node, state) < 0.0:
-                last_admission = (node, state.schedule[node])
-                state.server_set.add(node)
+                last_admission = (node, int(state.schedule[node]))
+                state.on_server[node] = True
                 state.schedule[node] = column.slot
                 state.iterations += 1
                 admitted = node
                 dirty = True
             else:
-                state.blacklist.add(node)
+                state.blacklist[node] = True
             log.append(
                 IterationRecord(
                     round_idx, state.psi_upper, state.psi_lower, r_scan, admitted

@@ -57,13 +57,14 @@ class SystemParams:
             value = getattr(self, name)
             if not _is_finite(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        deadline = self.deadline_slots
-        if not (
-            isinstance(deadline, numbers.Integral)
-            or (isinstance(deadline, float) and deadline.is_integer())
-        ):
-            raise ValueError(f"deadline_slots must be an integer, got {deadline!r}")
-        object.__setattr__(self, "deadline_slots", int(deadline))
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral)
+                or (isinstance(value, float) and value.is_integer())
+            ):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         positive = {
             "f_c_hz": self.f_c_hz,
             "f_s_hz": self.f_s_hz,
@@ -123,6 +124,8 @@ _FLOAT_FIELDS = (
     "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
     "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
 )
+# Integral floats are accepted and stored as int; bools are rejected.
+_INT_FIELDS = ("deadline_slots", "seed", "block_size_k")
 
 
 def _is_finite(value) -> bool:

@@ -4,9 +4,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evtoffload import cli
 from evtoffload.cli import main
 from evtoffload.energy import SystemParams
-from evtoffload.gev import GevParams, gev_quantile, gev_sample
+from evtoffload.gev import (
+    GevParams,
+    block_maxima,
+    gev_quantile,
+    gev_sample,
+    load_trace_samples,
+)
 
 from conftest import INSTANCE_DIR
 
@@ -162,6 +169,25 @@ def test_fit_on_synthetic_traces(tmp_path):
     assert abs(data["z_up_s"] - gev_quantile(fitted, 0.1)) < 1e-9
     assert data["theta_up"] > 0
     assert data["block_size_k"] == 20
+
+
+def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
+    # A fitted xi >= 1 has no finite mean: fit must fail before writing.
+    trace = tmp_path / "trace.csv"
+    _write_trace_csv(trace)
+    j_maxima = block_maxima(load_trace_samples(trace, 10000.0)["j"], 20).maxima
+
+    def fake_fit(maxima):
+        xi = 1.2 if np.array_equal(maxima.maxima, j_maxima) else 0.1
+        return GevParams(1.0, 0.1, xi)
+
+    monkeypatch.setattr(cli, "fit_gev_mle", fake_fit)
+    out = tmp_path / "fit.json"
+    args = ["fit", "--traces", str(trace), "--k", "20", "--payload-bits", "10000"]
+    assert main(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "theta_up" in err and "xi = 1.2" in err
 
 
 def test_fit_block_size_too_large_fails(tmp_path):

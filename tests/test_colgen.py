@@ -36,10 +36,16 @@ from conftest import INSTANCE_DIR, chain_graph, fan_graph, random_small_instance
 
 def _hand_state(graph, params, schedule, duals, server=()):
     state = SolverState(graph=graph, params=params)
-    state.schedule = dict(schedule)
-    state.duals = dict(duals)
-    state.server_set = set(server)
+    for node, slot in schedule.items():
+        state.schedule[node] = slot
+    _set_duals(state, duals)
+    state.on_server[list(server)] = True
     return state
+
+
+def _set_duals(state, duals):
+    """Price the edges named in `duals`, every other edge at 0."""
+    state.duals = np.array([duals.get(key, 0.0) for key in state.core.edge_keys])
 
 
 # --- initial RMP -------------------------------------------------------------
@@ -48,7 +54,7 @@ def test_initial_rmp_serial_chain():
     graph = chain_graph([1, 1, 1], [1, 1])
     params = toy_params(f_c_hz=1.0)
     state = initial_rmp(graph, params)
-    assert state.schedule == {1: 1, 2: 2, 3: 3}
+    assert state.decision().slot == {1: 1, 2: 2, 3: 3}
     assert state.psi_upper == 3.0  # kappa * f_c^2 * sum(w) with unit scale
     assert state.psi_lower == 0.0
 
@@ -83,11 +89,12 @@ def test_solve_rmp_base_state():
     graph = chain_graph([2, 4, 2], [10, 20])
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
-    psi_u, duals, schedule = solve_rmp(state)
+    psi_u, prices, schedule = solve_rmp(state)
+    duals = dict(zip(state.core.edge_keys, prices.tolist()))
     assert psi_u == worst_case_expected_energy(graph, state.decision(), params).psi
     assert set(duals) == {(1, 2), (2, 3)}
     assert all(np.isfinite(v) and v >= 0 for v in duals.values())
-    assert schedule == state.schedule
+    assert np.array_equal(schedule, state.schedule)
 
 
 def test_solve_rmp_rejection_signal():
@@ -104,7 +111,7 @@ def test_heuristic_duals_normalized():
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
     _, duals, _ = solve_rmp(state)
-    assert sum(duals.values()) == pytest.approx(1.0)
+    assert sum(duals.tolist()) == pytest.approx(1.0)
 
 
 # --- reduced cost ------------------------------------------------------------
@@ -155,23 +162,29 @@ def _table(nodes, zetas):
     )
 
 
+def _blacklist(*nodes):
+    mask = np.zeros(8, dtype=bool)
+    mask[list(nodes)] = True
+    return mask
+
+
 def test_cs_argmin():
-    assert _table([2, 4], [-3.0, -1.0]).best(set()).node == 2
+    assert _table([2, 4], [-3.0, -1.0]).best(_blacklist()).node == 2
 
 
 def test_cs_tie_breaks_to_smallest_id():
-    assert _table([2, 3], [-1.0, -1.0]).best(set()).node == 2
-    assert _table([2, 3, 5], [-1.0, -1.0, -1.0]).best({2}).node == 3
+    assert _table([2, 3], [-1.0, -1.0]).best(_blacklist()).node == 2
+    assert _table([2, 3, 5], [-1.0, -1.0, -1.0]).best(_blacklist(2)).node == 3
 
 
 def test_cs_nonnegative_still_returns_argmin():
-    column = _table([3, 5], [1.0, 2.0]).best(set())
+    column = _table([3, 5], [1.0, 2.0]).best(_blacklist())
     assert (column.node, column.reduced_cost) == (3, 1.0)
 
 
 def test_cs_empty_signals_no_column():
-    assert _table([], []).best(set()) is None
-    assert _table([2], [-1.0]).best({2}) is None
+    assert _table([], []).best(_blacklist()) is None
+    assert _table([2], [-1.0]).best(_blacklist(2)) is None
 
 
 # --- slot windows ------------------------------------------------------------
@@ -228,14 +241,14 @@ def test_td_width_one_window():
 def test_td_parent_duals_pull_to_latest_slot():
     # Only parent rows priced: zeta decreases in t, so the scan picks t_max.
     graph, params, state = _window_fixture()
-    state.duals = {(1, 2): 0.5}
+    _set_duals(state, {(1, 2): 0.5})
     slot, _ = solve_td(2, state)
     assert slot == 9
 
 
 def test_td_child_duals_pull_to_earliest_slot():
     graph, params, state = _window_fixture()
-    state.duals = {(2, 3): 0.5}
+    _set_duals(state, {(2, 3): 0.5})
     slot, _ = solve_td(2, state)
     assert slot == 8
 
@@ -292,7 +305,7 @@ def test_td_matches_exhaustive_enumeration(seed):
 
 def test_npp_single_candidate_reduces_to_td():
     graph, params, state = _window_fixture()
-    state.duals = {(1, 2): 0.2, (2, 3): 0.1}
+    _set_duals(state, {(1, 2): 0.2, (2, 3): 0.1})
     column = _price_all(state).best(state.blacklist)
     slot, zeta = solve_td(2, state)
     assert column.node == 2
@@ -343,14 +356,14 @@ def test_delta_psi_matches_recomputation(seed):
     state = initial_rmp(graph, params)
     for n in graph.interior_ids():
         if rng.random() < 0.4:
-            state.server_set.add(n)
+            state.on_server[n] = True
     before = worst_case_expected_energy(graph, state.decision(), params).psi
     for node in graph.interior_ids():
-        if node in state.server_set:
+        if state.on_server[node]:
             continue
-        state.server_set.add(node)
+        state.on_server[node] = True
         after = worst_case_expected_energy(graph, state.decision(), params).psi
-        state.server_set.discard(node)
+        state.on_server[node] = False
         assert delta_psi(node, state) == pytest.approx(after - before, rel=1e-9)
 
 

@@ -92,6 +92,19 @@ def test_params_accept_integral_float_deadline():
     assert params == SystemParams()
 
 
+@pytest.mark.parametrize("value", [2.5, 1.5, math.inf, math.nan, "7", None, True, False])
+@pytest.mark.parametrize("name", ["seed", "block_size_k"])
+def test_params_reject_non_integral_int_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        SystemParams(**{name: value})
+
+
+def test_params_accept_integral_float_int_fields():
+    params = SystemParams(seed=12345.0, block_size_k=1500.0)
+    assert isinstance(params.seed, int) and isinstance(params.block_size_k, int)
+    assert params == SystemParams()
+
+
 def test_params_reject_int_beyond_float_range():
     with pytest.raises(ValueError, match="z_up_s"):
         SystemParams(z_up_s=10**400)

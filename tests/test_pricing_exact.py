@@ -40,17 +40,19 @@ def reference(node, state):
     """(slot, zeta) of the literal scan, or None for an empty window."""
     graph, params = state.graph, state.params
     slots = slot_table(graph, params)
+    schedule = state.decision().slot
+    duals = dict(zip(state.core.edge_keys, state.duals.tolist()))
     exec_server = slots.server[node]
     t_min = 0
     for parent in graph.parents[node]:
         transfer = params.z_up_slots if state.location(parent) == CLIENT else 0
-        t_min = max(t_min, state.schedule[parent] + transfer)
+        t_min = max(t_min, schedule[parent] + transfer)
     t_min = max(t_min + exec_server, 1)
     t_max = params.deadline_slots
     for child in graph.children[node]:
         loc = state.location(child)
         transfer = params.z_down_slots if loc == CLIENT else 0
-        t_max = min(t_max, state.schedule[child] - transfer - slots.at(child, loc))
+        t_max = min(t_max, schedule[child] - transfer - slots.at(child, loc))
     if t_min > t_max:
         return None
 
@@ -58,16 +60,16 @@ def reference(node, state):
     for parent in graph.parents[node]:
         if state.location(parent) == CLIENT:
             transfer += graph.bits(parent, node) * params.theta_up
-        pi = state.duals.get((parent, node), 0.0)
+        pi = duals.get((parent, node), 0.0)
         par_sum += pi
-        par_off += pi * (state.schedule[parent] + exec_server)
+        par_off += pi * (schedule[parent] + exec_server)
     for child in graph.children[node]:
         loc = state.location(child)
         if loc == CLIENT:
             transfer += graph.bits(node, child) * params.theta_down
-        pi = state.duals.get((node, child), 0.0)
+        pi = duals.get((node, child), 0.0)
         chi_sum += pi
-        chi_off += pi * (state.schedule[child] - slots.at(child, loc))
+        chi_off += pi * (schedule[child] - slots.at(child, loc))
     t_arr = np.arange(t_min, t_max + 1, dtype=float)
     zeta = transfer - (par_sum * t_arr - par_off) - (chi_off - chi_sum * t_arr)
     idx = int(np.argmin(zeta))
@@ -96,11 +98,13 @@ def priced_states(draw):
         theta_down=draw(st.floats(1e-6, 10.0)),
     )
     state = SolverState(graph=graph, params=params)
-    state.schedule = {m.id: draw(st.integers(0, deadline)) for m in modules}
-    state.server_set = {v for v in range(2, n) if draw(st.booleans())}
+    for m in modules:
+        state.schedule[m.id] = draw(st.integers(0, deadline))
+    for v in range(2, n):
+        state.on_server[v] = draw(st.booleans())
     shared = draw(DUALS)
     tie = draw(st.booleans())
-    state.duals = {(e.src, e.dst): shared if tie else draw(DUALS) for e in edges}
+    state.duals = np.array([shared if tie else draw(DUALS) for _ in edges], dtype=float)
     return state
 
 
@@ -113,7 +117,7 @@ def test_batched_pricing_matches_literal_scan(state):
         for node, slot, zeta in zip(table.node, table.slot, table.zeta)
     }
     for node in range(2, state.graph.n_nodes):
-        if node in state.server_set:
+        if state.on_server[node]:
             assert node not in priced
             continue
         expected = reference(node, state)
