@@ -46,8 +46,11 @@ def _load_params(args) -> SystemParams:
 
 def _decision_from_file(path: str) -> OffloadDecision:
     data = json.loads(Path(path).read_text())
-    location = {int(item["id"]): item["location"] for item in data["nodes"]}
-    slot = {int(item["id"]): int(item["slot"]) for item in data["nodes"]}
+    try:
+        location = {int(item["id"]): item["location"] for item in data["nodes"]}
+        slot = {int(item["id"]): int(item["slot"]) for item in data["nodes"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"decision {path}: every node needs an id, a location and a slot") from exc
     return OffloadDecision(location=location, slot=slot)
 
 

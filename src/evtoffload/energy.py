@@ -55,16 +55,10 @@ class SystemParams:
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
-            if not _is_finite(value):
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not (
-                isinstance(value, numbers.Integral)
-                or (isinstance(value, float) and value.is_integer())
-            ):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         positive = {
             "f_c_hz": self.f_c_hz,
             "f_s_hz": self.f_s_hz,
@@ -124,15 +118,25 @@ _FLOAT_FIELDS = (
     "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
     "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
 )
-# Integral floats are accepted and stored as int; bools are rejected.
 _INT_FIELDS = ("deadline_slots", "seed", "block_size_k")
 
 
-def _is_finite(value) -> bool:
+def is_finite_number(value) -> bool:
+    """A real number that is neither NaN nor infinite."""
     try:
         return math.isfinite(value)
     except (TypeError, OverflowError):  # not a number, or an int beyond float range
         return False
+
+
+def as_integer(name: str, value) -> int:
+    """`value` as an int: integral floats are accepted, bools rejected."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def exact_ceil_div(numer: float, denom: float) -> int:

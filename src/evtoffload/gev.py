@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -258,17 +259,21 @@ def load_trace_samples(path: str | Path, payload_bits: float) -> dict[str, Sampl
 
 
 def _read_trace_rows(path: str | Path) -> dict[str, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    """Columns of a trace CSV by header name; blank lines are skipped.
+
+    Raises ValueError for a wrong header, a row with the wrong number of
+    fields or a cell that is not a number.
+    """
+    with open(path) as fh:
+        header = next(csv.reader([fh.readline()]), None)
         if header != TRACE_HEADER:
             raise ValueError(f"trace CSV header must be {','.join(TRACE_HEADER)}")
-        cols: list[list[float]] = [[] for _ in TRACE_HEADER]
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(TRACE_HEADER):
-                raise ValueError(f"trace row has {len(row)} fields, expected {len(TRACE_HEADER)}")
-            for i, cell in enumerate(row):
-                cols[i].append(float(cell))
-    return {name: np.asarray(col, dtype=float) for name, col in zip(TRACE_HEADER, cols)}
+        with warnings.catch_warnings():
+            # A header-only file is an empty table, not a malformed one.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+    if table.size == 0:
+        table = np.empty((0, len(TRACE_HEADER)))
+    if table.shape[1] != len(TRACE_HEADER):
+        raise ValueError(f"trace row has {table.shape[1]} fields, expected {len(TRACE_HEADER)}")
+    return {name: table[:, i] for i, name in enumerate(TRACE_HEADER)}

@@ -1,9 +1,31 @@
 """Trace-driven Monte Carlo replay and random layered DAG generation.
 
-Each cross-boundary transfer draws a fresh (queue, rate, power) triple from
-the configured distributions; completion times and realized energy are then
-recomputed with those draws.  Replications run on independent, index-derived
-RNG streams, so reports are reproducible bit for bit.
+Each cross-boundary transfer draws a (queue, rate, power) triple from the
+configured distributions; completion times and realized energy are then
+recomputed with those draws.  Replications are computed together, one row
+of each array per replication, in chunks of at most `_CHUNK_ELEMENTS`
+elements per array; `simulate_execution` is the one-replication case.
+
+Stream contract (reports are reproducible bit for bit):
+
+- Replication r draws from its own generator, `np.random.default_rng([seed,
+  r])`, so the chunking never changes a result.
+- Cross-boundary edges are taken in the order the earliest-completion
+  recurrence visits them: destinations in topological order, the parents
+  of each destination in graph order.  Uplink (client to server) and
+  downlink edges are numbered separately, in that order.
+- Each replication draws one vector over its uplink edges of queue, then
+  of rate, then of power, and then the same three over its downlink edges.
+  A direction without edges draws nothing.
+- An `empirical` quantity consumes no random numbers: it restarts at every
+  replication and gives its k-th recorded value to the k-th edge of its
+  direction.
+
+Draws are clamped before use: queue and power at 0, rate at
+`rate_floor_bps`.  Transfer, execution and completion slot counts saturate
+at `deadline_slots + 1`.  That keeps them in int64 whatever the draw, and a
+completion past the deadline stays past it, so no verdict changes; a
+completion slot past the deadline reads `deadline_slots + 1`.
 """
 from __future__ import annotations
 
@@ -15,15 +37,31 @@ from pathlib import Path
 import numpy as np
 
 from .energy import (
+    CLIENT,
+    SERVER,
     OffloadDecision,
     SystemParams,
     TraceExhaustedError,
+    as_integer,
+    is_finite_number,
     slot_table,
 )
 from .gev import GevParams, gev_sample
 from .graph import DataEdge, TaskGraph, TaskModule, topological_order
 
-FAMILIES = ("lognormal", "uniform", "gev", "empirical")
+# Parameters of each family; all of them must be finite numbers.
+_FAMILY_PARAMS = {
+    "lognormal": ("mean_log", "sigma_log"),
+    "uniform": ("low", "high"),
+    "gev": ("mu", "sigma", "xi"),
+    "empirical": ("values",),
+}
+FAMILIES = tuple(_FAMILY_PARAMS)
+
+QUANTITIES = ("rate_up", "rate_down", "queue_up_bits", "queue_down_bits", "power_up", "power_down")
+
+# Largest number of elements of one per-chunk array (about 2 MB of float64).
+_CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -36,28 +74,40 @@ class DistSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        missing = [name for name in _FAMILY_PARAMS[self.family] if name not in self.params]
+        if missing:
+            raise ValueError(f"{self.family} needs the parameters {missing}")
+        p = self.params
+        if self.family == "empirical":
+            values = p["values"]
+            if not isinstance(values, (list, tuple)) or not all(map(is_finite_number, values)):
+                raise ValueError("empirical values must be a list of finite numbers")
+            return
+        for name in _FAMILY_PARAMS[self.family]:
+            if not is_finite_number(p[name]):
+                raise ValueError(f"{self.family} {name} must be a finite number, got {p[name]!r}")
+        if self.family == "lognormal" and p["sigma_log"] < 0:
+            raise ValueError(f"lognormal sigma_log must be >= 0, got {p['sigma_log']}")
+        if self.family == "uniform" and not (
+            p["low"] <= p["high"] and math.isfinite(p["high"] - p["low"])
+        ):
+            raise ValueError(f"uniform needs low <= high a finite distance apart, got {p}")
+        if self.family == "gev" and not p["sigma"] > 0:
+            raise ValueError(f"gev sigma must be positive, got {p['sigma']}")
 
-    def sampler(self, rng: np.random.Generator):
-        """Per-run draw callable; empirical replay restarts at each run."""
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """`size` values: the next draws of `rng`, or for `empirical` the
+        first `size` recorded values (a replay restarts at every call)."""
+        p = self.params
         if self.family == "lognormal":
-            mean, sigma = self.params["mean_log"], self.params["sigma_log"]
-            return lambda: float(rng.lognormal(mean, sigma))
+            return rng.lognormal(p["mean_log"], p["sigma_log"], size)
         if self.family == "uniform":
-            low, high = self.params["low"], self.params["high"]
-            return lambda: float(rng.uniform(low, high))
+            return rng.uniform(p["low"], p["high"], size)
         if self.family == "gev":
-            gp = GevParams(self.params["mu"], self.params["sigma"], self.params["xi"])
-            return lambda: gev_sample(gp, rng)
-        values = list(self.params["values"])
-        iterator = iter(values)
-
-        def replay():
-            try:
-                return float(next(iterator))
-            except StopIteration:
-                raise TraceExhaustedError("empirical trace exhausted") from None
-
-        return replay
+            return gev_sample(GevParams(p["mu"], p["sigma"], p["xi"]), rng, size)
+        if size > len(p["values"]):
+            raise TraceExhaustedError("empirical trace exhausted")
+        return np.array(p["values"][:size], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -73,21 +123,25 @@ class TraceModel:
     rate_floor_bps: float = 1e3
     seed: int = 0
 
+    def __post_init__(self):
+        if not (is_finite_number(self.rate_floor_bps) and self.rate_floor_bps > 0):
+            raise ValueError(f"rate_floor_bps must be a finite number > 0, got {self.rate_floor_bps!r}")
+        object.__setattr__(self, "rate_floor_bps", float(self.rate_floor_bps))
+        seed = as_integer("seed", self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
+
     @classmethod
     def from_dict(cls, data: dict) -> "TraceModel":
         kwargs = {}
-        for name in (
-            "rate_up",
-            "rate_down",
-            "queue_up_bits",
-            "queue_down_bits",
-            "power_up",
-            "power_down",
-        ):
-            spec = data[name]
+        for name in QUANTITIES:
+            spec = data.get(name)
+            if not isinstance(spec, dict) or "family" not in spec or "params" not in spec:
+                raise ValueError(f"trace model needs {name} as {{family, params}}")
             kwargs[name] = DistSpec(spec["family"], spec["params"])
-        kwargs["rate_floor_bps"] = float(data.get("rate_floor_bps", 1e3))
-        kwargs["seed"] = int(data.get("seed", 0))
+        kwargs["rate_floor_bps"] = data.get("rate_floor_bps", 1e3)
+        kwargs["seed"] = data.get("seed", 0)
         return cls(**kwargs)
 
     @classmethod
@@ -121,6 +175,122 @@ class SimReport:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
+@dataclass
+class _Chunk:
+    """Replications computed together, one row (column of `done`) each."""
+
+    energy: list[float]
+    done: np.ndarray  # (nodes in topological order, rows) completion slots
+    seconds: dict[str, np.ndarray]  # direction -> (rows, edges of that direction)
+
+
+class _Replay:
+    """Everything a replay of one decision needs that no draw changes."""
+
+    def __init__(
+        self, graph: TaskGraph, decision: OffloadDecision, model: TraceModel, params: SystemParams
+    ):
+        _check_decision(graph, decision)
+        self.rate_floor = model.rate_floor_bps
+        self.delta_s = params.delta_s
+        self.cap = params.deadline_slots + 1
+        self.order = topological_order(graph)
+        position = {node: j for j, node in enumerate(self.order)}
+        slots = slot_table(graph, params)
+
+        # Per node: parent positions, its rows of the edge-slot matrix (the
+        # edges into it, contiguous in visit order) and its execution slots.
+        self.steps: list[tuple[np.ndarray, int, int, int]] = []
+        self.cross: list[tuple[int, int, str, int]] = []  # (src, dst, direction, column)
+        edge_rows: dict[str, list[int]] = {"up": [], "down": []}
+        bits: dict[str, list[int]] = {"up": [], "down": []}
+        n_edges = 0
+        for node in self.order:
+            parents = graph.parents[node]
+            node_client = decision.is_client(node)
+            for parent in parents:
+                parent_client = decision.is_client(parent)
+                if parent_client != node_client:
+                    direction = "up" if parent_client else "down"
+                    self.cross.append((parent, node, direction, len(bits[direction])))
+                    edge_rows[direction].append(n_edges)
+                    bits[direction].append(graph.bits(parent, node))
+                n_edges += 1
+            run_slots = min(slots.at(node, decision.location[node]), self.cap)
+            parent_pos = np.array([position[p] for p in parents], dtype=np.intp)
+            self.steps.append((parent_pos, n_edges - len(parents), n_edges, run_slots))
+        self.n_edges = n_edges
+        self.sink = position[graph.n_nodes]
+        self.edge_rows = {d: np.array(rows, dtype=np.intp) for d, rows in edge_rows.items()}
+        self.bits = {d: np.array(b, dtype=float) for d, b in bits.items()}
+        coef = params.kappa * params.f_c_hz * params.f_c_hz
+        self.exec_terms = [
+            coef * m.workload_cycles for m in graph.modules if decision.is_client(m.id)
+        ]
+        self.specs = {  # drawn in this order
+            "up": (model.queue_up_bits, model.rate_up, model.power_up),
+            "down": (model.queue_down_bits, model.rate_down, model.power_down),
+        }
+        # Elements per replication of the largest per-chunk arrays.
+        self.width = max(len(self.order), n_edges, len(self.exec_terms) + len(self.cross), 1)
+
+    def run(self, rngs: list[np.random.Generator]) -> _Chunk:
+        """Replay once per generator; row i of every array belongs to rngs[i]."""
+        rows = len(rngs)
+        raw = {d: np.empty((3, rows, len(self.bits[d]))) for d in ("up", "down")}
+        for i, rng in enumerate(rngs):
+            for direction in ("up", "down"):
+                size = len(self.bits[direction])
+                if size:
+                    for q, spec in enumerate(self.specs[direction]):
+                        raw[direction][q, i] = spec.draw(rng, size)
+
+        n_exec = len(self.exec_terms)
+        terms = np.empty((rows, n_exec + len(self.cross)))
+        terms[:, :n_exec] = self.exec_terms
+        edge_slots = np.zeros((self.n_edges, rows), dtype=np.int64)
+        seconds = {}
+        column = n_exec
+        for direction in ("up", "down"):
+            bits = self.bits[direction]
+            queue = np.maximum(raw[direction][0], 0.0)
+            rate = np.maximum(raw[direction][1], self.rate_floor)
+            power = np.maximum(raw[direction][2], 0.0)
+            with np.errstate(over="ignore"):  # an infinite time saturates at the cap
+                seconds[direction] = (queue + bits) / rate
+                terms[:, column : column + len(bits)] = power * bits / rate
+                transfer = np.minimum(np.ceil(seconds[direction] / self.delta_s), self.cap)
+            column += len(bits)
+            edge_slots[self.edge_rows[direction]] = transfer.T.astype(np.int64)
+
+        done = np.empty((len(self.order), rows), dtype=np.int64)
+        for j, (parent_pos, lo, hi, run_slots) in enumerate(self.steps):
+            if lo == hi:
+                done[j] = run_slots
+            else:
+                ready = (done[parent_pos] + edge_slots[lo:hi]).max(axis=0)
+                np.minimum(ready + run_slots, self.cap, out=done[j])
+        return _Chunk(
+            energy=[math.fsum(row) for row in terms.tolist()],
+            done=done,
+            seconds=seconds,
+        )
+
+
+def _check_decision(graph: TaskGraph, decision: OffloadDecision) -> None:
+    placed, nodes = set(decision.location), set(graph.node_ids)
+    if placed != nodes:
+        raise ValueError(
+            f"decision must place exactly the graph's nodes: missing {sorted(nodes - placed)}, "
+            f"unknown {sorted(placed - nodes)}"
+        )
+    for node, location in decision.location.items():
+        if location not in (CLIENT, SERVER):
+            raise ValueError(
+                f"location of node {node} must be {CLIENT!r} or {SERVER!r}, got {location!r}"
+            )
+
+
 def simulate_execution(
     graph: TaskGraph,
     decision: OffloadDecision,
@@ -129,51 +299,17 @@ def simulate_execution(
     rng: np.random.Generator,
 ) -> SimRun:
     """Replay the DAG once: draw per-transfer traces, recompute timing/energy."""
-    slots = slot_table(graph, params)
-    draw_ru = model.rate_up.sampler(rng)
-    draw_rd = model.rate_down.sampler(rng)
-    draw_qu = model.queue_up_bits.sampler(rng)
-    draw_qd = model.queue_down_bits.sampler(rng)
-    draw_pu = model.power_up.sampler(rng)
-    draw_pd = model.power_down.sampler(rng)
-    floor = model.rate_floor_bps
-
-    coef = params.kappa * params.f_c_hz * params.f_c_hz
-    energy_terms = [
-        coef * m.workload_cycles for m in graph.modules if decision.is_client(m.id)
-    ]
-    completion: dict[int, int] = {}
-    transfers: list[tuple[int, int, str, float]] = []
-    for node in topological_order(graph):
-        node_client = decision.is_client(node)
-        ready = 0
-        for parent in graph.parents[node]:
-            parent_client = decision.is_client(parent)
-            transfer_slots = 0
-            if parent_client != node_client:
-                bits = graph.bits(parent, node)
-                if parent_client:  # uplink
-                    queue = max(draw_qu(), 0.0)
-                    rate = max(draw_ru(), floor)
-                    power = max(draw_pu(), 0.0)
-                    direction = "up"
-                else:  # downlink
-                    queue = max(draw_qd(), 0.0)
-                    rate = max(draw_rd(), floor)
-                    power = max(draw_pd(), 0.0)
-                    direction = "down"
-                seconds = (queue + bits) / rate
-                transfer_slots = int(math.ceil(seconds / params.delta_s))
-                energy_terms.append(power * bits / rate)
-                transfers.append((parent, node, direction, seconds))
-            ready = max(ready, completion[parent] + transfer_slots)
-        completion[node] = ready + slots.at(node, decision.location[node])
-
+    replay = _Replay(graph, decision, model, params)
+    chunk = replay.run([rng])
+    completion = {node: int(chunk.done[j, 0]) for j, node in enumerate(replay.order)}
     return SimRun(
-        energy=math.fsum(energy_terms),
+        energy=chunk.energy[0],
         completion=completion,
         deadline_met=completion[graph.n_nodes] <= params.deadline_slots,
-        transfers=transfers,
+        transfers=[
+            (src, dst, direction, float(chunk.seconds[direction][0, col]))
+            for src, dst, direction, col in replay.cross
+        ],
     )
 
 
@@ -188,40 +324,37 @@ def monte_carlo(
     the planning quantiles z_up/z_down (in slot units)."""
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-    z_up_seconds = params.z_up_slots * params.delta_s
-    z_down_seconds = params.z_down_slots * params.delta_s
-
+    replay = _Replay(graph, decision, model, params)
+    threshold = {
+        "up": params.z_up_slots * params.delta_s,
+        "down": params.z_down_slots * params.delta_s,
+    }
     energies = np.empty(replications)
     violations = 0
-    exceed_counts: dict[tuple[int, int, str], list[int]] = {}
-    for r in range(replications):
-        rng = np.random.default_rng([model.seed, r])
-        run = simulate_execution(graph, decision, model, params, rng)
-        energies[r] = run.energy
-        if not run.deadline_met:
-            violations += 1
-        for src, dst, direction, seconds in run.transfers:
-            key = (src, dst, direction)
-            counts = exceed_counts.setdefault(key, [0, 0])
-            counts[0] += 1
-            threshold = z_up_seconds if direction == "up" else z_down_seconds
-            if seconds > threshold:
-                counts[1] += 1
+    exceed = {d: np.zeros(len(replay.bits[d]), dtype=np.int64) for d in threshold}
+    rows = max(1, _CHUNK_ELEMENTS // replay.width)
+    for start in range(0, replications, rows):
+        stop = min(start + rows, replications)
+        chunk = replay.run([np.random.default_rng([model.seed, r]) for r in range(start, stop)])
+        energies[start:stop] = chunk.energy
+        violations += int(np.count_nonzero(chunk.done[replay.sink] > params.deadline_slots))
+        for direction, seconds in chunk.seconds.items():
+            exceed[direction] += np.count_nonzero(seconds > threshold[direction], axis=0)
 
     quantiles = {
         "p50": float(np.quantile(energies, 0.50)),
         "p90": float(np.quantile(energies, 0.90)),
         "p99": float(np.quantile(energies, 0.99)),
     }
-    exceedance = {
-        f"{src}->{dst}": {
+    exceedance = {}
+    for src, dst, direction, col in sorted(replay.cross):
+        count = int(exceed[direction][col])
+        exceedance[f"{src}->{dst}"] = {
             "direction": direction,
-            "events": counts[0],
-            "exceedances": counts[1],
-            "rate": counts[1] / counts[0],
+            "events": replications,
+            "exceedances": count,
+            "rate": count / replications,
         }
-        for (src, dst, direction), counts in sorted(exceed_counts.items())
-    }
     return SimReport(
         replications=replications,
         mean_energy=float(energies.mean()),
