@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -11,7 +12,13 @@ from pathlib import Path
 import numpy as np
 
 from . import colgen, policies
-from .energy import InfeasibleError, OffloadDecision, SystemParams, worst_case_expected_energy
+from .energy import (
+    InfeasibleError,
+    OffloadDecision,
+    SystemParams,
+    TraceExhaustedError,
+    worst_case_expected_energy,
+)
 from .gev import (
     FitConvergenceError,
     block_maxima,
@@ -280,12 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on the first call, not at import, and reused by every later call
+    # in the process: building it formats the help of every subcommand.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphError, InfeasibleError, FitConvergenceError, ValueError, OSError) as exc:
+    except (
+        GraphError, InfeasibleError, FitConvergenceError, TraceExhaustedError, ValueError, OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

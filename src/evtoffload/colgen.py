@@ -11,12 +11,23 @@ The loop state lives in per-solve numpy arrays (`SolverState`): an
 on-server mask, the schedule and the blacklist, indexed by node id, and the
 dual price of each edge.  It becomes an `OffloadDecision` once, at exit,
 where the scalar `check_constraints` and `worst_case_expected_energy` guard
-the returned decision.  Each master step is one pass over the edge arrays
-of `PricingCore`: every edge's margin - its slots beyond its transfer and
-its head's execution - decides feasibility together with the deadline,
-slot-range, endpoint and source-execution tests, and psi is the
-correctly rounded sum (`math.fsum`) of per-solve energy terms under the
-location mask, bit for bit the value `worst_case_expected_energy` gives.
+the returned decision.  Each master step works on the edge arrays of
+`PricingCore`: every edge's margin - its slots beyond its transfer and its
+head's execution - decides feasibility together with the deadline,
+slot-range, endpoint and source-execution tests, and psi is the correctly
+rounded sum of per-solve energy terms under the location mask, bit for bit
+the value `worst_case_expected_energy` gives.
+
+Rounds are incremental.  An admission, or its rollback, moves one node v,
+which changes only the margins and dual weights of v's edges, v's psi
+terms, and the windows, transfer energy and slot offsets of v's
+neighbours.  The core keeps all of these from round to round and each
+round recomputes just those rows, by the same functions that compute every
+row of a fresh state.  psi and the dual normalisation are exact running
+sums (`ExactSum`, integers in units of 2**-1074), so they read out exactly
+what `math.fsum` of all the terms gives.  Only the dual-weighted pricing
+sums, which the normalisation changes everywhere, and the slot choice are
+redone in full every round.
 
 Dual prices are tightness weights: each dependency edge is priced
 1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
@@ -55,6 +66,7 @@ unlike the raw nonnegative-pricing test.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -137,52 +149,114 @@ class PricingTable:
         )
 
 
+# 2**-1074 is the least positive double: every finite double is a multiple.
+_SUM_SHIFT = 1074
+
+
+class ExactSum:
+    """An array of float terms and their sum, kept exactly.
+
+    The sum is held as an integer number of 2**-1074 units and `value`
+    rounds it once, so it reads the correctly rounded sum `math.fsum` gives
+    for the same terms, whatever the order of the updates.  Non-finite
+    terms are counted apart; the terms summed here are never negative, so
+    the special results are nan and +inf.
+    """
+
+    def __init__(self, size: int):
+        self.terms = np.zeros(size)
+        self.scaled = self.inf = self.nan = 0
+
+    def update(self, rows, new: np.ndarray) -> None:
+        """Set `terms[rows] = new`; the sum follows the terms that change."""
+        changed = [(a, b) for a, b in zip(self.terms[rows].tolist(), new.tolist()) if a != b]
+        if changed:
+            gone, came = zip(*changed)
+            self._add(gone, -1)
+            self._add(came, 1)
+        self.terms[rows] = new
+
+    def _add(self, terms, sign: int) -> None:
+        scaled = 0
+        for term in filter(None, terms):  # zeros add nothing
+            if math.isfinite(term):
+                n, d = term.as_integer_ratio()
+                scaled += n << (_SUM_SHIFT + 1 - d.bit_length())
+            elif term != term:
+                self.nan += sign
+            else:
+                self.inf += sign
+        self.scaled += sign * scaled
+
+    def value(self) -> float:
+        if self.nan:
+            return math.nan
+        if self.inf:
+            return math.inf
+        return self.scaled / (1 << _SUM_SHIFT)
+
+
 class PricingCore:
-    """Edge arrays of one solve: the master pass and the pricing of every
-    candidate of a round, each at once.
+    """Edge arrays of one solve, and the round arrays derived from them.
 
     Node-indexed arrays have length N + 1 and are indexed by node id, so ids
     must be 1..N.  The incidence list holds, for each interior node, its
     parent edges and then its child edges in `graph.parents` /
     `graph.children` order: `np.bincount` adds in input order, so each
     coefficient is summed exactly as a scalar loop over that node would.
+    Tables with a leading location axis (0 client, 1 server) are read with
+    the location of a node, so one lookup replaces a select.
+
+    The round arrays - edge margins and dual weights, the psi terms, and
+    each candidate's window, transfer energy and slot offsets - are kept
+    from one round to the next.  Each update takes `moved`, the one node
+    whose location or slot changed since the previous update of the same
+    arrays, and recomputes only the rows that node reaches; `moved=None`
+    recomputes every row, which is what a state built or edited by hand
+    needs.
     """
 
     def __init__(self, graph: TaskGraph, params: SystemParams):
         self.params = params
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
-        self.size = max(ids, default=0) + 1
+        self.size = size = max(ids, default=0) + 1
         self.last = graph.n_nodes
         self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
         self.sources = np.array([n for n in ids if not graph.parents[n]], dtype=np.int64)
         self.edge_keys = [(e.src, e.dst) for e in graph.edges]
         self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
         self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
-        self.bits = np.array([e.bits for e in graph.edges], dtype=float)
+        n_edges = len(self.edge_keys)
+        self.all_edges = np.arange(n_edges)
 
         # The energy terms of `worst_case_expected_energy`, as the same
-        # Python float products; index 0 of the local terms is no node and 0.
+        # Python float products, by location: a node's local term when it is
+        # on the client, an edge's uplink (downlink) term when it crosses
+        # from the client (server).  Index 0 of the node axis is no node.
         coef = params.kappa * params.f_c_hz * params.f_c_hz
-        self.local_energy = np.zeros(self.size)
-        self.local_energy[self.ids] = [coef * m.workload_cycles for m in graph.modules]
-        self.up_energy = np.array([e.bits * params.theta_up for e in graph.edges], dtype=float)
-        self.down_energy = np.array([e.bits * params.theta_down for e in graph.edges], dtype=float)
+        self.local_energy = np.zeros((2, size))
+        self.local_energy[0, self.ids] = [coef * m.workload_cycles for m in graph.modules]
+        self.up_energy = np.zeros((2, 2, n_edges))
+        self.up_energy[0, 1] = [e.bits * params.theta_up for e in graph.edges]
+        self.down_energy = np.zeros((2, 2, n_edges))
+        self.down_energy[1, 0] = [e.bits * params.theta_down for e in graph.edges]
 
         # A slot count beyond T + 1 empties every window and fails every
         # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
         cap = params.deadline_slots + 1
         slots = slot_table(graph, params)
-        self.z_up = min(params.z_up_slots, cap)
-        self.z_down = min(params.z_down_slots, cap)
-        self.client_slots = np.zeros(self.size, dtype=np.int64)
-        self.server_slots = np.zeros(self.size, dtype=np.int64)
-        self.client_slots[self.ids] = [min(slots.client[n], cap) for n in ids]
-        self.server_slots[self.ids] = [min(slots.server[n], cap) for n in ids]
+        z_up, z_down = min(params.z_up_slots, cap), min(params.z_down_slots, cap)
+        self.exec_slots = np.zeros((2, size), dtype=np.int64)
+        self.exec_slots[:, self.ids] = [
+            [min(slots.client[n], cap) for n in ids],
+            [min(slots.server[n], cap) for n in ids],
+        ]
+        self.transfer_slots = np.array([[0, z_up], [z_down, 0]], dtype=np.int64)
 
         edge_index = {key: i for i, key in enumerate(self.edge_keys)}
         node, edge, is_parent = [], [], []
-        for v in self.interior:
+        for v in self.interior.tolist():
             for p in graph.parents[v]:
                 node.append(v)
                 edge.append(edge_index[(p, v)])
@@ -191,108 +265,164 @@ class PricingCore:
                 node.append(v)
                 edge.append(edge_index[(v, c)])
                 is_parent.append(False)
-        self.inc_node = np.array(node, dtype=np.int64)
-        self.inc_edge = np.array(edge, dtype=np.int64)
-        self.inc_parent = np.array(is_parent, dtype=bool)
-        self.inc_other = np.where(self.inc_parent, self.src[self.inc_edge], self.dst[self.inc_edge])
+        self.inc_node = inc_node = np.array(node, dtype=np.int64)
+        self.inc_parent = up = np.array(is_parent, dtype=bool)
+        inc_edge = np.array(edge, dtype=np.int64)
+        self.inc_other = other = np.where(up, self.src[inc_edge], self.dst[inc_edge])
+        self.all_rows = np.arange(len(node))
+        self.par_rows, self.chi_rows = np.flatnonzero(up), np.flatnonzero(~up)
+        self.par_node, self.par_edge = inc_node[self.par_rows], inc_edge[self.par_rows]
+        self.chi_node, self.chi_edge = inc_node[self.chi_rows], inc_edge[self.chi_rows]
 
-    def _exec_at(self, nodes: np.ndarray, on_server: np.ndarray) -> np.ndarray:
-        return np.where(on_server[nodes], self.server_slots[nodes], self.client_slots[nodes])
+        # Per row, by the location of the row's other node.  The offset
+        # base[r] = sched[other] - row_head: the slot after which the node's
+        # server execution may start (parent rows), or the child's start
+        # (child rows).  base + row_shift is the window bound the row sets:
+        # it adds the uplink from a client parent and takes off the downlink
+        # to a client child.  row_energy is the transfer energy the move
+        # adds: the edge's, when the other node is on the client.
+        self.row_head = np.where(up, -self.exec_slots[1, inc_node], self.exec_slots[:, other])
+        self.row_shift = np.where(up, [[z_up], [0]], [[-z_down], [0]])
+        bits = np.array([e.bits for e in graph.edges], dtype=float)[inc_edge]
+        self.row_energy = np.zeros((2, len(node)))
+        self.row_energy[0] = bits * np.where(up, params.theta_up, params.theta_down)
+        self.t_floor = np.maximum(self.exec_slots[1], 1)
 
-    def _crossings(self, on_server: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(uplink, downlink) masks of the edges."""
-        src, dst = on_server[self.src], on_server[self.dst]
-        return ~src & dst, src & ~dst
+        self.margin = np.zeros(n_edges, dtype=np.int64)
+        self.weight = ExactSum(n_edges)
+        self.local, self.up, self.down = ExactSum(size), ExactSum(n_edges), ExactSum(n_edges)
+        self.t_min = self.t_floor.copy()
+        self.t_max = np.full(size, params.deadline_slots, dtype=np.int64)
+        self.tr = np.zeros(size)
+        self.offset_base = np.zeros(len(node), dtype=np.int64)
 
-    def master_check(self, on_server: np.ndarray, sched: np.ndarray) -> np.ndarray | None:
+    @functools.cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(edge_ptr, node_edges, neighbours, row_ptr), built on the first move.
+
+        node_edges[edge_ptr[v]:edge_ptr[v + 1]] are the edges at v and
+        neighbours[...] the nodes at their other ends; row_ptr[v]:row_ptr[v + 1]
+        are v's incidence rows, which are grouped by ascending node id.
+        """
+        n_edges = len(self.edge_keys)
+        ends = np.concatenate([self.src, self.dst])
+        order = np.argsort(ends, kind="stable")
+        grid = np.arange(self.size + 1)
+        return (
+            np.searchsorted(ends[order], grid),
+            order % max(n_edges, 1),
+            np.concatenate([self.dst, self.src])[order],
+            np.searchsorted(self.inc_node, grid),
+        )
+
+    def edges_at(self, moved: int | None) -> np.ndarray:
+        """The edges a move of `moved` changes: its own, or all for None."""
+        if moved is None:
+            return self.all_edges
+        edge_ptr, node_edges, _, _ = self._adjacency
+        return node_edges[edge_ptr[moved]:edge_ptr[moved + 1]]
+
+    def _nodes(self, moved: int | None) -> np.ndarray:
+        return self.ids if moved is None else np.array([moved])
+
+    def master_check(
+        self, on_server: np.ndarray, sched: np.ndarray, moved: int | None = None
+    ) -> np.ndarray | None:
         """Each edge's margin when the schedule passes the master check, else None.
 
         The margin is the slots of an edge's gap beyond its transfer and its
         head's execution.  The check is `check_constraints(...) == []`: every
         margin >= 0, the endpoints on the client, every slot in 0..T (which
-        holds the deadline on node N) and every source done executing.
+        holds the deadline on node N) and every source done executing.  With
+        `moved` named, only its slot and edges are checked: the rest passed
+        the previous check unchanged.
         """
-        up, down = self._crossings(on_server)
-        transfer = np.where(up, self.z_up, np.where(down, self.z_down, 0))
-        margin = sched[self.dst] - sched[self.src] - transfer - self._exec_at(self.dst, on_server)
-        slots = sched[self.ids]
+        loc = on_server.view(np.uint8)
+        edges = self.edges_at(moved)
+        src, dst = self.src[edges], self.dst[edges]
+        to = loc[dst]
+        margin = (
+            sched[dst] - sched[src]
+            - self.transfer_slots[loc[src], to] - self.exec_slots[to, dst]
+        )
+        self.margin[edges] = margin
+        slots = sched[self._nodes(moved)].tolist()
+        sources = self.sources
         feasible = (
             not (on_server[1] or on_server[self.last])
-            and 0 <= slots.min()
-            and slots.max() <= self.params.deadline_slots
-            and (margin >= 0).all()
-            and (sched[self.sources] >= self._exec_at(self.sources, on_server)).all()
+            and 0 <= min(slots)
+            and max(slots) <= self.params.deadline_slots
+            and min(margin.tolist(), default=0) >= 0
+            and (sched[sources] >= self.exec_slots[loc[sources], sources]).all()
         )
-        return margin if feasible else None
+        return self.margin if feasible else None
 
-    def psi(self, on_server: np.ndarray) -> float:
+    def psi(self, on_server: np.ndarray, moved: int | None = None) -> float:
         """`worst_case_expected_energy(...).psi` of the locations, bit for bit.
 
-        `math.fsum` is correctly rounded, so each part equals the scalar sum
-        of the same terms; the parts are added in the same order.
+        Each part is the correctly rounded sum of its terms, as `math.fsum`
+        gives it; the parts are added in the same order.
         """
-        up, down = self._crossings(on_server)
-        local = math.fsum(self.local_energy[~on_server].tolist())
-        return (
-            local
-            + math.fsum(self.up_energy[up].tolist())
-            + math.fsum(self.down_energy[down].tolist())
-        )
+        loc = on_server.view(np.uint8)
+        nodes, edges = self._nodes(moved), self.edges_at(moved)
+        s, d = loc[self.src[edges]], loc[self.dst[edges]]
+        self.local.update(nodes, self.local_energy[loc[nodes], nodes])
+        self.up.update(edges, self.up_energy[s, d, edges])
+        self.down.update(edges, self.down_energy[s, d, edges])
+        return self.local.value() + self.up.value() + self.down.value()
 
-    def windows(self, on_server: np.ndarray, sched: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(t_min, t_max) by node id for moving each interior node to the server.
+    def refresh(self, on_server: np.ndarray, sched: np.ndarray, moved: int | None = None) -> None:
+        """Bring each candidate's window, transfer energy and offsets up to date.
 
-        Every slot in a window keeps all constraints touching the node
-        satisfied with the rest of the schedule unchanged; t_min > t_max
-        marks an empty window.
+        A candidate's rows read only its neighbours' locations and slots, so
+        a move of `moved` changes the rows of its neighbours alone.  The
+        window (t_min, t_max) holds every slot that keeps all constraints
+        touching the node satisfied with the rest of the schedule unchanged;
+        t_min > t_max marks an empty window.
         """
-        other = self.inc_other
-        client = ~on_server[other]
-        up = self.inc_parent
-        ready = sched[other] + np.where(client, self.z_up, 0)
-        t_min = np.zeros(self.size, dtype=np.int64)
-        np.maximum.at(t_min, self.inc_node[up], ready[up])
-        t_min = np.maximum(t_min + self.server_slots, 1)
-        latest = sched[other] - np.where(client, self.z_down, 0) - self._exec_at(other, on_server)
-        t_max = np.full(self.size, self.params.deadline_slots, dtype=np.int64)
-        np.minimum.at(t_max, self.inc_node[~up], latest[~up])
-        return t_min, t_max
+        if moved is None:
+            nodes, rows = self.ids, self.all_rows
+        else:
+            edge_ptr, _, neighbours, row_ptr = self._adjacency
+            nodes = neighbours[edge_ptr[moved]:edge_ptr[moved + 1]]
+            spans = zip(row_ptr[nodes].tolist(), row_ptr[nodes + 1].tolist())
+            rows = np.array([r for start, stop in spans for r in range(start, stop)], dtype=np.int64)
+        other, node, up = self.inc_other[rows], self.inc_node[rows], self.inc_parent[rows]
+        loc = on_server.view(np.uint8)[other]
+        base = sched[other] - self.row_head[loc, rows]
+        self.offset_base[rows] = base
+        bound = base + self.row_shift[loc, rows]
+        self.t_min[nodes] = self.t_floor[nodes]
+        np.maximum.at(self.t_min, node, bound * up)
+        self.t_max[nodes] = self.params.deadline_slots
+        np.minimum.at(self.t_max, node, np.where(up, self.params.deadline_slots, bound))
+        transfer = np.bincount(node, weights=self.row_energy[loc, rows], minlength=self.size)
+        self.tr[nodes] = transfer[nodes]
 
-    def coefficients(self, on_server: np.ndarray, sched: np.ndarray, pi: np.ndarray):
+    def coefficients(self, pi: np.ndarray):
         """(tr, ps, po, cs, co) by node id, zeta(t) = `_zeta(tr, ps, po, cs, co, t)`.
 
         tr is the transfer energy the move adds, ps/po the dual sum and
-        offset of the parent rows, cs/co those of the child rows.
+        offset of the parent rows, cs/co those of the child rows; the dual
+        terms change with every round's normalisation and are summed anew.
         """
-        other = self.inc_other
-        client = ~on_server[other]
-        up = self.inc_parent
-        down = ~up
-        theta = np.where(up, self.params.theta_up, self.params.theta_down)
-        transfer = np.where(client, self.bits[self.inc_edge] * theta, 0.0)
-        price = pi[self.inc_edge]
-        head = np.where(up, -self.server_slots[self.inc_node], self._exec_at(other, on_server))
-        offset = price * (sched[other] - head)
-
-        def per_node(weights, rows=slice(None)):
-            return np.bincount(self.inc_node[rows], weights=weights[rows], minlength=self.size)
-
+        base = self.offset_base
+        price_up, price_down = pi[self.par_edge], pi[self.chi_edge]
         return (
-            per_node(transfer),
-            per_node(price, up),
-            per_node(offset, up),
-            per_node(price, down),
-            per_node(offset, down),
+            self.tr,
+            np.bincount(self.par_node, weights=price_up, minlength=self.size),
+            np.bincount(self.par_node, weights=price_up * base[self.par_rows], minlength=self.size),
+            np.bincount(self.chi_node, weights=price_down, minlength=self.size),
+            np.bincount(self.chi_node, weights=price_down * base[self.chi_rows], minlength=self.size),
         )
 
-    def price(self, state: SolverState, nodes) -> PricingTable:
+    def price(self, state: SolverState, nodes, moved: int | None = None) -> PricingTable:
         """Best slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
-        on_server, sched, pi = state.on_server, state.schedule, state.duals
-        t_min, t_max = self.windows(on_server, sched)
+        self.refresh(state.on_server, state.schedule, moved)
         nodes = np.asarray(nodes, dtype=np.int64)
-        nodes = nodes[t_min[nodes] <= t_max[nodes]]
-        lo, hi = t_min[nodes], t_max[nodes]
-        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients(on_server, sched, pi))
+        nodes = nodes[self.t_min[nodes] <= self.t_max[nodes]]
+        lo, hi = self.t_min[nodes], self.t_max[nodes]
+        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients(state.duals))
         slope = cs - ps
         magnitude = np.abs(tr) + np.abs(po) + np.abs(co) + (np.abs(ps) + np.abs(cs)) * hi
         noise = SLOPE_NOISE * magnitude + SLOPE_NOISE_ABS
@@ -401,25 +531,35 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
     return state
 
 
-def tightness_duals(slack: np.ndarray) -> np.ndarray:
-    """Prices 1/(1 + slack) per dependency edge, normalized to sum 1."""
-    weights = 1.0 / (1.0 + slack)
-    return weights / math.fsum(weights.tolist())
+def tightness_duals(core: PricingCore, moved: int | None = None) -> np.ndarray:
+    """Prices 1/(1 + slack) per dependency edge, normalized to sum 1.
+
+    The slacks are the margins of the last master check, which passed; only
+    the weights of the edges at `moved` (all for None) are recomputed.  The
+    sum is exact, so it is the `math.fsum` of the weights.
+    """
+    edges = core.edges_at(moved)
+    core.weight.update(edges, 1.0 / (1.0 + core.margin[edges]))
+    return core.weight.terms / core.weight.value()
 
 
-def solve_rmp(state: SolverState) -> tuple[float, np.ndarray, np.ndarray]:
+def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.ndarray, np.ndarray]:
     """Feasibility-check the current schedule; refresh the bound and duals.
 
     Returns (psi_upper, duals, schedule).  Raises RmpInfeasible when the
     schedule violates any master constraint, which tells the caller to
     reject the most recently added column.  On a feasible schedule every
     edge margin is its slack, so the check and the duals share one pass.
+    `moved` names the one node whose location or slot changed since the
+    previous call; the rows it does not reach must have passed the last
+    check that passed, as they do in the solve loop, which rolls a rejected
+    admission back at once.  None rechecks everything.
     """
-    margin = state.core.master_check(state.on_server, state.schedule)
-    if margin is None:
+    core = state.core
+    if core.master_check(state.on_server, state.schedule, moved) is None:
         raise RmpInfeasible("the schedule violates a master constraint")
-    state.psi_upper = state.core.psi(state.on_server)
-    state.duals = tightness_duals(margin)
+    state.psi_upper = core.psi(state.on_server, moved)
+    state.duals = tightness_duals(core, moved)
     return state.psi_upper, state.duals, state.schedule
 
 
@@ -429,17 +569,20 @@ def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
     Every slot in the window keeps all constraints touching the node
     satisfied with the rest of the schedule unchanged.
     """
-    t_min, t_max = state.core.windows(state.on_server, state.schedule)
-    if t_min[node] > t_max[node]:
+    core = state.core
+    core.refresh(state.on_server, state.schedule)
+    t_min, t_max = int(core.t_min[node]), int(core.t_max[node])
+    if t_min > t_max:
         raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
-    return int(t_min[node]), int(t_max[node])
+    return t_min, t_max
 
 
 def reduced_cost(node: int, slot: int, state: SolverState) -> float:
     """zeta for moving `node` to the server, completing at `slot`."""
     if state.on_server[node] or node in (1, state.graph.n_nodes):
         raise ValueError(f"node {node} is not a pricing candidate")
-    coef = state.core.coefficients(state.on_server, state.schedule, state.duals)
+    state.core.refresh(state.on_server, state.schedule)
+    coef = state.core.coefficients(state.duals)
     return float(_zeta(*(c[node] for c in coef), float(slot)))
 
 
@@ -455,9 +598,12 @@ def solve_td(node: int, state: SolverState) -> tuple[int, float]:
     return int(table.slot[0]), float(table.zeta[0])
 
 
-def _price_all(state: SolverState) -> PricingTable:
-    """Price every interior client node, blacklisted ones included."""
-    return state.core.price(state, _client_interior(state))
+def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
+    """Price every interior client node, blacklisted ones included.
+
+    `moved` names the one node moved since the previous call (None: any).
+    """
+    return state.core.price(state, _client_interior(state), moved)
 
 
 def _client_interior(state: SolverState) -> np.ndarray:
@@ -552,8 +698,11 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
         if round_idx > max_rounds:  # pragma: no cover - structural guard
             raise RuntimeError("column generation failed to terminate")
         if dirty:
+            # Only the admitted node has moved since the last dirty round,
+            # so only the rows it reaches are recomputed.
+            moved = None if last_admission is None else last_admission[0]
             try:
-                solve_rmp(state)
+                solve_rmp(state, moved)
             except RmpInfeasible:
                 if last_admission is None:
                     raise
@@ -562,9 +711,9 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
                 state.schedule[node] = prev_slot
                 state.iterations -= 1
                 state.blacklist[node] = True
-                solve_rmp(state)
+                solve_rmp(state, moved)
             last_admission = None
-            table = _price_all(state)
+            table = _price_all(state, moved)
             dirty = False
 
         column = table.best(state.blacklist)

@@ -148,11 +148,15 @@ def exec_slots(workload_cycles: int, freq_hz: float, delta_s: float) -> int:
     """Whole slots needed to run `workload_cycles` at `freq_hz`: 0 for empty work."""
     if freq_hz <= 0:
         raise ValueError(f"frequency must be positive, got {freq_hz}")
+    return _ceil_slots(workload_cycles, Fraction(freq_hz) * Fraction(delta_s))
+
+
+def _ceil_slots(workload_cycles: int, cycles_per_slot: Fraction) -> int:
+    # ceil(w / (p/q)) = ceil(w*q / p), by floor division of the negation:
+    # exact on integers, with one Fraction per frequency instead of per node.
     if workload_cycles < 0:
         raise ValueError(f"workload must be nonnegative, got {workload_cycles}")
-    if workload_cycles == 0:
-        return 0
-    return int(math.ceil(Fraction(workload_cycles) / (Fraction(freq_hz) * Fraction(delta_s))))
+    return -(-workload_cycles * cycles_per_slot.denominator // cycles_per_slot.numerator)
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,13 @@ def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
         object.__setattr__(graph, "_slot_table_cache", cache)
     table = cache.get(key)
     if table is None:
-        client = {
-            m.id: exec_slots(m.workload_cycles, params.f_c_hz, params.delta_s)
-            for m in graph.modules
-        }
-        server = {
-            m.id: exec_slots(m.workload_cycles, params.f_s_hz, params.delta_s)
-            for m in graph.modules
-        }
+        client, server = (
+            {m.id: _ceil_slots(m.workload_cycles, per_slot) for m in graph.modules}
+            for per_slot in (
+                Fraction(params.f_c_hz) * Fraction(params.delta_s),
+                Fraction(params.f_s_hz) * Fraction(params.delta_s),
+            )
+        )
         table = SlotTable(client=client, server=server)
         cache[key] = table
     return table

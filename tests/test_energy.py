@@ -1,8 +1,11 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evtoffload.energy import (
     CLIENT,
@@ -15,6 +18,7 @@ from evtoffload.energy import (
     slot_table,
     worst_case_expected_energy,
 )
+from evtoffload.graph import TaskGraph, TaskModule
 from evtoffload.oracle import earliest_completion
 from evtoffload.simulate import (
     DistSpec,
@@ -46,6 +50,43 @@ def test_exec_slots_bad_args():
         exec_slots(10, 0.0, 0.001)
     with pytest.raises(ValueError):
         exec_slots(-1, 1.0, 1.0)
+
+
+def _literal_exec_slots(workload, freq_hz, delta_s):
+    """The slot count as a ceiling of the exact rational quotient."""
+    if workload == 0:
+        return 0
+    return int(math.ceil(Fraction(workload) / (Fraction(freq_hz) * Fraction(delta_s))))
+
+
+# Decimal and thirds are not dyadic, so their products carry large
+# denominators; the float ranges add arbitrary mantissas.
+FREQUENCIES = st.one_of(
+    st.sampled_from([1.5e9, 2.4e9, 0.1, 1 / 3, 7.0, 3e9 + 1]),
+    st.floats(1e-3, 1e12),
+)
+SLOT_LENGTHS = st.one_of(
+    st.sampled_from([1e-3, 0.1, 1 / 3, 0.7, 1.0, 2.5e-4]),
+    st.floats(1e-6, 10.0),
+)
+WORKLOADS = st.one_of(st.just(0), st.integers(1, 10**4), st.integers(0, 10**40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    workloads=st.lists(WORKLOADS, min_size=1, max_size=6),
+    f_c=FREQUENCIES,
+    f_s=FREQUENCIES,
+    delta=SLOT_LENGTHS,
+)
+def test_slot_table_matches_literal_fraction_ceiling(workloads, f_c, f_s, delta):
+    graph = TaskGraph([TaskModule(i + 1, w) for i, w in enumerate(workloads)], [])
+    params = toy_params(f_c_hz=f_c, f_s_hz=f_s, delta_s=delta)
+    table = slot_table(graph, params)
+    for node, workload in enumerate(workloads, start=1):
+        assert table.client[node] == _literal_exec_slots(workload, f_c, delta)
+        assert table.server[node] == _literal_exec_slots(workload, f_s, delta)
+        assert exec_slots(workload, f_c, delta) == table.client[node]
 
 
 def test_z_slot_conversion_is_exact():

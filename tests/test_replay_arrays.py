@@ -557,6 +557,8 @@ def test_simulate_cli_rejects_a_bad_decision_with_exit_2(tmp_path, nodes):
     {"rate_up": {"family": "uniform", "params": {"low": 0.0, "high": math.inf}}},
     {"queue_up_bits": {"family": "gev", "params": {"mu": 1.0, "sigma": 0.0, "xi": 0.0}}},
     {"power_up": {"family": "lognormal", "params": {"mean_log": 0.0, "sigma_log": -1.0}}},
+    # A valid model whose trace is shorter than the chain's one uplink.
+    {"rate_up": {"family": "empirical", "params": {"values": []}}},
 ])
 def test_simulate_cli_rejects_a_bad_model_with_exit_2(tmp_path, overrides):
     assert _simulate_cli(tmp_path, GOOD_NODES, _model_dict(**overrides)) == 2
