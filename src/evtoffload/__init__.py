@@ -25,7 +25,6 @@ from .gev import (
 )
 from .graph import DataEdge, TaskGraph, TaskModule, load_graph, save_graph, topological_order, validate_graph
 from .oracle import OracleResult, brute_force_optimum, earliest_completion
-from .policies import ChainInstance, FanInstance, solve_parallel, solve_sequential
 from .simulate import LayeredDagSpec, SimReport, TraceModel, gen_layered_dag, monte_carlo, simulate_execution
 
 __version__ = "0.1.0"

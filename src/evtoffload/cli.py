@@ -11,13 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import colgen, policies
+from . import colgen, mincut
 from .energy import (
     InfeasibleError,
     OffloadDecision,
     SystemParams,
     TraceExhaustedError,
-    worst_case_expected_energy,
 )
 from .gev import (
     FitConvergenceError,
@@ -92,46 +91,14 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _dispatch_policy(graph, params, policy: str, epsilon):
-    if policy == "sequential" or (policy == "auto" and policies.is_chain(graph)):
-        decision = policies.solve_sequential(policies.ChainInstance(graph), params)
-        return decision, None
-    if policy == "parallel" or (policy == "auto" and policies.is_fan(graph)):
-        decision = policies.solve_parallel(policies.FanInstance(graph), params)
-        return decision, None
-    result = colgen.solve(graph, params, epsilon)
-    return result.decision, result
-
-
 def cmd_solve(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
-    decision, result = _dispatch_policy(graph, params, args.policy, args.epsilon)
-    if result is not None:
-        colgen.write_decision_json(args.out, result)
-        if args.log:
-            colgen.write_iteration_log(args.log, result.log)
-    else:
-        report = worst_case_expected_energy(graph, decision, params)
-        nodes = [
-            {"id": n, "location": decision.location[n], "slot": decision.slot[n]}
-            for n in sorted(decision.location)
-        ]
-        # The closed-form policies are exact only with a non-binding
-        # deadline, so no optimality flag is claimed here.
-        _write_json(
-            args.out,
-            {
-                "psi": report.psi,
-                "psi_lower": colgen.attribution_lower_bound(graph, params),
-                "psi_upper": report.psi,
-                "epsilon": 0.0,
-                "iterations": 0,
-                "exit_reason": "closed_form_policy",
-                "optimal_certified": False,
-                "nodes": nodes,
-            },
-        )
+    solver = mincut.solve if args.policy == "auto" else colgen.solve
+    result = solver(graph, params, args.epsilon)
+    colgen.write_decision_json(args.out, result)
+    if args.log:
+        colgen.write_iteration_log(args.log, result.log)
     return 0
 
 
@@ -248,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("--dag", required=True)
-    p.add_argument("--policy", choices=["auto", "cg", "sequential", "parallel"], default="cg")
+    p.add_argument("--policy", choices=["auto", "cg"], default="cg",
+                   help="auto: exact min cut when it meets the deadline, else cg")
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--log", help="iteration log CSV path")
     p.add_argument("--out", required=True)

@@ -2,10 +2,11 @@
 
 The restricted master fixes execution locations and is a pure feasibility
 check, so upper bounds come from re-evaluating the energy objective.  The
-schedule starts from the serial all-local assignment and is updated
-incrementally: an admitted column places its node at the completion slot
-chosen by pricing and leaves every other slot untouched, which is what
-preserves the slack the pricing windows need.
+schedule starts from the serial all-local assignment (the all-local
+earliest-completion one when the serial one misses the deadline) and is
+updated incrementally: an admitted column places its node at the
+completion slot chosen by pricing and leaves every other slot untouched,
+which is what preserves the slack the pricing windows need.
 
 The loop state lives in per-solve numpy arrays (`SolverState`): an
 on-server mask, the schedule and the blacklist, indexed by node id, and the
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -86,6 +88,7 @@ from .energy import (
     worst_case_expected_energy,
 )
 from .graph import GraphValidationError, TaskGraph, topological_order, validate_graph
+from .oracle import earliest_completion
 
 CERT_REL_TOL = 1e-12
 
@@ -505,7 +508,6 @@ class SolveResult:
     iterations: int
     log: list[IterationRecord]
     exit_reason: str
-    full_grid_nonneg: bool
     optimal_certified: bool
     epsilon: float
 
@@ -514,18 +516,25 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
     """All-local starting state with the serial one-module-at-a-time schedule.
 
     Serializing the whole application is what leaves slack between
-    independent branches for later pricing windows.
+    independent branches for later pricing windows.  When the serial
+    schedule misses the deadline, the all-local earliest-completion
+    schedule is the start instead, if it meets the deadline.
     """
     slots = slot_table(graph, params)
     order = topological_order(graph)
     total = sum(slots.client[n] for n in order)
-    if total > params.deadline_slots:
-        raise InfeasibleError(
-            f"deadline too tight for local execution ({total} > {params.deadline_slots} slots)"
-        )
+    if total <= params.deadline_slots:
+        schedule = dict(zip(order, itertools.accumulate(slots.client[n] for n in order)))
+    else:
+        local = earliest_completion(graph, dict.fromkeys(graph.node_ids, CLIENT), params)
+        if not local.feasible:
+            raise InfeasibleError(
+                f"deadline too tight for local execution ({total} > {params.deadline_slots} slots)"
+            )
+        schedule = local.slots
     state = SolverState(graph=graph, params=params)
-    # The total fits the deadline, so every partial sum fits in int64.
-    state.schedule[order] = np.cumsum([slots.client[n] for n in order])
+    # Every slot is within the deadline, so it fits in int64.
+    state.schedule[list(schedule)] = list(schedule.values())
     state.psi_upper = state.core.psi(state.on_server)
     state.psi_lower = 0.0
     return state
@@ -668,6 +677,17 @@ def _grid_verification(state: SolverState, table: PricingTable) -> tuple[bool, b
     return grid_nonneg, stationary
 
 
+def checked_epsilon(graph: TaskGraph, params: SystemParams, epsilon: float | None) -> float:
+    """The epsilon a solve uses; raises on an out-of-range epsilon or an invalid graph."""
+    eps = params.epsilon if epsilon is None else epsilon
+    if not 0.0 <= eps < 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
+    violations = validate_graph(graph)
+    if violations:
+        raise GraphValidationError(violations)
+    return eps
+
+
 def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
     """Run the epsilon-bounded column-generation loop.
 
@@ -676,13 +696,7 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
     either admit the column at its chosen slot or blacklist it.  At most
     N - 2 admissions can ever happen, so the loop terminates.
     """
-    eps = params.epsilon if epsilon is None else epsilon
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
-    violations = validate_graph(graph)
-    if violations:
-        raise GraphValidationError(violations)
-
+    eps = checked_epsilon(graph, params, epsilon)
     state = initial_rmp(graph, params)
     psi_floor = attribution_lower_bound(graph, params)
     log: list[IterationRecord] = []
@@ -778,7 +792,6 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
         iterations=state.iterations,
         log=log,
         exit_reason=exit_reason,
-        full_grid_nonneg=grid_nonneg,
         optimal_certified=certified,
         epsilon=eps,
     )

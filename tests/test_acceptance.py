@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from evtoffload import mincut
 from evtoffload.cli import main
 from evtoffload.colgen import EXIT_PRICING_NONNEG, EXIT_RATIO, solve
 from evtoffload.energy import CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams
@@ -28,7 +29,6 @@ from evtoffload.gev import (
 )
 from evtoffload.graph import load_graph
 from evtoffload.oracle import brute_force_optimum, earliest_completion
-from evtoffload.policies import ChainInstance, FanInstance, solve_parallel, solve_sequential
 from evtoffload.simulate import DistSpec, LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 from evtoffload.energy import exec_slots, worst_case_expected_energy
 
@@ -250,7 +250,7 @@ def test_criterion_5_one_climb_chains():
         server = sorted(oracle.decision.server_set())
         if not server or server == list(range(server[0], server[-1] + 1)):
             contiguous += 1
-        decision = solve_sequential(ChainInstance(graph), params)
+        decision = mincut.solve(graph, params).decision
         psi = worst_case_expected_energy(graph, decision, params).psi
         if abs(psi - oracle.psi_star) <= 1e-9 * max(1.0, oracle.psi_star):
             exact += 1
@@ -265,7 +265,7 @@ def test_criterion_5_one_climb_chains():
 
 
 # --------------------------------------------------------------------------
-# Criterion 6: parallel threshold policy
+# Criterion 6: parallel threshold policy (the min cut decomposes into it on a fan)
 # --------------------------------------------------------------------------
 
 def test_criterion_6_parallel_threshold():
@@ -290,7 +290,7 @@ def test_criterion_6_parallel_threshold():
             z_down_s=float(rng.integers(1, 3)),
             deadline_slots=10 * total + 200,
         )
-        decision = solve_parallel(FanInstance(graph), params)
+        decision = mincut.solve(graph, params).decision
         oracle = brute_force_optimum(graph, params)
         psi = worst_case_expected_energy(graph, decision, params).psi
         if (

@@ -327,9 +327,10 @@ def test_policy_dispatch_sequential(tmp_path):
     )
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["exit_reason"] == "closed_form_policy"
+    assert data["exit_reason"] == "mincut"
+    assert data["optimal_certified"] is True
     assert data["psi"] == data["psi_upper"]
-    assert data["psi_lower"] <= data["psi_upper"]
+    assert data["psi_lower"] == data["psi_upper"]
 
 
 def test_policy_dispatch_parallel(tmp_path):
@@ -345,9 +346,34 @@ def test_policy_dispatch_parallel(tmp_path):
     )
     assert code == 0
     data = json.loads(out.read_text())
-    assert data["exit_reason"] == "closed_form_policy"
+    assert data["exit_reason"] == "mincut"
+    assert data["optimal_certified"] is True
     offloaded = {n["id"] for n in data["nodes"] if n["location"] == "server"}
     assert offloaded == {2, 3}  # local energy 8, 9 beats transfer 2*(0.05+0.02)
+
+
+@pytest.mark.parametrize("policy", ["sequential", "parallel"])
+def test_removed_policies_exit_2(tmp_path, capsys, policy):
+    dag = _gen_dag(tmp_path)
+    out = tmp_path / "decision.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--dag", str(dag), "--policy", policy, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_auto_writes_an_empty_log(tmp_path):
+    from evtoffload.graph import save_graph
+    from conftest import fan_graph
+
+    dag = tmp_path / "fan.json"
+    save_graph(fan_graph([1, 8, 9, 1], [2, 2], [2, 2]), dag)
+    config = _toy_config(tmp_path)
+    out, log = tmp_path / "decision.json", tmp_path / "iters.csv"
+    argv = ["--config", str(config), "solve", "--dag", str(dag), "--policy", "auto"]
+    assert main(argv + ["--out", str(out), "--log", str(log)]) == 0
+    assert log.read_text().splitlines() == ["iter,psi_upper,psi_lower,r_underbar,admitted_node"]
 
 
 def test_smart_diagnosis_solves_with_defaults(tmp_path):

@@ -83,6 +83,30 @@ def test_initial_rmp_branchy_schedule_is_feasible():
     assert check_constraints(graph, state.decision(), params) == []
 
 
+def test_initial_rmp_starts_from_earliest_completion_when_serial_misses():
+    # Serial all-local takes 1 + 2 + 3 + 2 + 4 + 1 = 13 slots, the critical
+    # path 1 + 3 + 4 + 1 = 9: a 10-slot deadline is met by local execution.
+    graph = TaskGraph(
+        [TaskModule(i, w) for i, w in zip(range(1, 7), [1, 2, 3, 2, 4, 1])],
+        [
+            DataEdge(1, 2, 5),
+            DataEdge(1, 3, 5),
+            DataEdge(2, 4, 5),
+            DataEdge(3, 5, 5),
+            DataEdge(4, 6, 5),
+            DataEdge(5, 6, 5),
+        ],
+    )
+    params = toy_params(f_c_hz=1.0, deadline_slots=10)
+    state = initial_rmp(graph, params)
+    assert state.decision().slot == {1: 1, 2: 3, 3: 4, 4: 5, 5: 8, 6: 9}
+    assert check_constraints(graph, state.decision(), params) == []
+    result = solve(graph, params, 0.0)
+    assert check_constraints(graph, result.decision, params) == []
+    with pytest.raises(InfeasibleError, match="deadline too tight"):
+        initial_rmp(graph, toy_params(f_c_hz=1.0, deadline_slots=8))
+
+
 # --- RMP solve / duals -------------------------------------------------------
 
 def test_solve_rmp_base_state():
