@@ -106,14 +106,6 @@ def cmd_oracle(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
     result = brute_force_optimum(graph, params)
-    nodes = [
-        {
-            "id": n,
-            "location": result.decision.location[n],
-            "slot": result.decision.slot[n],
-        }
-        for n in sorted(result.decision.location)
-    ]
     _write_json(
         args.out,
         {
@@ -124,7 +116,7 @@ def cmd_oracle(args) -> int:
             "iterations": 0,
             "assignments_enumerated": result.assignments_enumerated,
             "feasible_count": result.feasible_count,
-            "nodes": nodes,
+            "nodes": result.decision.export_nodes(),
         },
     )
     return 0

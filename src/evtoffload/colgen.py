@@ -529,7 +529,8 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
         local = earliest_completion(graph, dict.fromkeys(graph.node_ids, CLIENT), params)
         if not local.feasible:
             raise InfeasibleError(
-                f"deadline too tight for local execution ({total} > {params.deadline_slots} slots)"
+                f"deadline too tight for local execution "
+                f"({max(local.slots.values())} > {params.deadline_slots} slots)"
             )
         schedule = local.slots
     state = SolverState(graph=graph, params=params)
@@ -798,14 +799,6 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
 
 
 def decision_export_dict(result: SolveResult, extra: dict | None = None) -> dict:
-    nodes = [
-        {
-            "id": node,
-            "location": result.decision.location[node],
-            "slot": result.decision.slot[node],
-        }
-        for node in sorted(result.decision.location)
-    ]
     data = {
         "psi": result.report.psi,
         "psi_lower": result.bounds.psi_lower,
@@ -814,7 +807,7 @@ def decision_export_dict(result: SolveResult, extra: dict | None = None) -> dict
         "iterations": result.iterations,
         "exit_reason": result.exit_reason,
         "optimal_certified": result.optimal_certified,
-        "nodes": nodes,
+        "nodes": result.decision.export_nodes(),
     }
     if extra:
         data.update(extra)

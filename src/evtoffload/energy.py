@@ -210,8 +210,11 @@ class OffloadDecision:
     def server_set(self) -> set[int]:
         return {n for n, loc in self.location.items() if loc == SERVER}
 
-    def copy(self) -> "OffloadDecision":
-        return OffloadDecision(dict(self.location), dict(self.slot))
+    def export_nodes(self) -> list[dict]:
+        """The `nodes` list of a decision JSON, by node id."""
+        return [
+            {"id": n, "location": self.location[n], "slot": self.slot[n]} for n in sorted(self.location)
+        ]
 
 
 @dataclass(frozen=True)

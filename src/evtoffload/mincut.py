@@ -16,11 +16,14 @@ import math
 
 from . import colgen
 from .colgen import Bounds, SolveResult
-from .energy import CLIENT, SERVER, OffloadDecision, SystemParams, worst_case_expected_energy
+from .energy import (
+    CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams, worst_case_expected_energy,
+)
 from .graph import TaskGraph
-from .oracle import earliest_completion
+from .oracle import cheapest_feasible, earliest_completion
 
 EXIT_MINCUT = "mincut"
+EXIT_WINDOW = "window"
 SINK, SOURCE = 0, 1
 
 
@@ -105,25 +108,34 @@ def _max_flow(head: list[int], cap: list[int], adj: list[list[int]]) -> int:
 def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
     """The min cut, certified optimal, when its schedule meets the deadline.
 
-    Otherwise the column-generation result, with psi_lower raised to the
-    cut, rounded down and shrunk by 2**-50 so that it stays below the float
-    psi of every feasible decision.
+    Otherwise, on a chain, the cheapest feasible contiguous offload window
+    (or all-local), and on any other graph the column-generation result.
+    Either way psi_lower is at least the cut, rounded down and shrunk by
+    2**-50 so that it stays below the float psi of every feasible decision.
     """
     eps = colgen.checked_epsilon(graph, params, epsilon)
     server, cut, scale = min_cut(graph, params)
     location = dict.fromkeys(graph.node_ids, CLIENT) | dict.fromkeys(server, SERVER)
     schedule = earliest_completion(graph, location, params)
-    if not schedule.feasible:
-        result = colgen.solve(graph, params, eps)
-        floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
-        bounds = Bounds(max(result.bounds.psi_lower, floor), result.bounds.psi_upper)
-        return dataclasses.replace(result, bounds=bounds)
-    decision = OffloadDecision(location=location, slot=schedule.slots)
-    report = worst_case_expected_energy(graph, decision, params)
-    return SolveResult(
-        decision=decision, report=report, bounds=Bounds(report.psi, report.psi), iterations=0,
-        log=[], exit_reason=EXIT_MINCUT, optimal_certified=True, epsilon=eps,
-    )
+    if schedule.feasible:
+        decision = OffloadDecision(location=location, slot=schedule.slots)
+        report = worst_case_expected_energy(graph, decision, params)
+        bounds = Bounds(report.psi, report.psi)
+        return SolveResult(decision, report, bounds, 0, [], EXIT_MINCUT, True, eps)
+    floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
+    n = graph.n_nodes
+    if {(e.src, e.dst) for e in graph.edges} == {(i, i + 1) for i in range(1, n)}:
+        windows = [()] + [range(u, v + 1) for u in range(2, n) for v in range(u, n)]
+        local = dict.fromkeys(graph.node_ids, CLIENT)
+        locations = (local | dict.fromkeys(w, SERVER) for w in windows)
+        decision, psi, _ = cheapest_feasible(graph, locations, params)
+        if decision is None:
+            raise InfeasibleError("no offload window (including all-local) meets the deadline")
+        report = worst_case_expected_energy(graph, decision, params)
+        return SolveResult(decision, report, Bounds(floor, psi), 0, [], EXIT_WINDOW, False, eps)
+    result = colgen.solve(graph, params, eps)
+    bounds = Bounds(max(result.bounds.psi_lower, floor), result.bounds.psi_upper)
+    return dataclasses.replace(result, bounds=bounds)
 
 
 def _round_down(numer: int, denom: int) -> float:

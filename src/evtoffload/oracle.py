@@ -73,6 +73,25 @@ def earliest_completion(
     return EcSchedule(slots=ec, feasible=feasible)
 
 
+def cheapest_feasible(
+    graph: TaskGraph, locations, params: SystemParams
+) -> tuple[OffloadDecision | None, float | None, int]:
+    """(decision, psi, feasible count) of the cheapest location map that
+    meets the deadline, or (None, None, 0); the first one given wins a tie."""
+    best: tuple[OffloadDecision | None, float | None] = (None, None)
+    feasible_count = 0
+    for location in locations:
+        schedule = earliest_completion(graph, location, params)
+        if not schedule.feasible:
+            continue
+        feasible_count += 1
+        decision = OffloadDecision(location=location, slot=schedule.slots)
+        psi = worst_case_expected_energy(graph, decision, params).psi
+        if best[1] is None or psi < best[1]:
+            best = decision, psi
+    return *best, feasible_count
+
+
 def brute_force_optimum(graph: TaskGraph, params: SystemParams) -> OracleResult:
     """Exact minimum-psi feasible decision by full enumeration.
 
@@ -85,30 +104,12 @@ def brute_force_optimum(graph: TaskGraph, params: SystemParams) -> OracleResult:
         raise OracleCapError(f"oracle capped at {ORACLE_NODE_CAP} nodes, got {n}")
     interior = graph.interior_ids()
     total = 1 << len(interior)
-
-    best_psi = None
-    best_decision = None
-    feasible_count = 0
-    for mask in range(total):
-        location = {node: CLIENT for node in graph.node_ids}
-        for bit, node in enumerate(interior):
-            if mask >> bit & 1:
-                location[node] = SERVER
-        schedule = earliest_completion(graph, location, params)
-        if not schedule.feasible:
-            continue
-        feasible_count += 1
-        decision = OffloadDecision(location=location, slot=schedule.slots)
-        psi = worst_case_expected_energy(graph, decision, params).psi
-        if best_psi is None or psi < best_psi:
-            best_psi = psi
-            best_decision = decision
-
-    if best_decision is None:
-        raise InfeasibleError("no feasible assignment meets the deadline")
-    return OracleResult(
-        psi_star=best_psi,
-        decision=best_decision,
-        assignments_enumerated=total,
-        feasible_count=feasible_count,
+    locations = (
+        dict.fromkeys(graph.node_ids, CLIENT)
+        | {node: SERVER for bit, node in enumerate(interior) if mask >> bit & 1}
+        for mask in range(total)
     )
+    decision, psi, feasible_count = cheapest_feasible(graph, locations, params)
+    if decision is None:
+        raise InfeasibleError("no feasible assignment meets the deadline")
+    return OracleResult(psi, decision, total, feasible_count)

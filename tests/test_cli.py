@@ -352,6 +352,30 @@ def test_policy_dispatch_parallel(tmp_path):
     assert offloaded == {2, 3}  # local energy 8, 9 beats transfer 2*(0.05+0.02)
 
 
+def test_auto_offloads_a_chain_whose_local_schedule_misses_the_deadline(tmp_path):
+    # Local execution takes 1 + 20 + 1 = 22 slots; offloading node 2 takes
+    # 1 + 2 + 10 + 1 + 1 = 15.  The cut keeps node 2 local (20 < 200), so
+    # its schedule misses T = 16 and the chain's window search answers.
+    from evtoffload.graph import save_graph
+    from conftest import chain_graph
+
+    dag = tmp_path / "chain.json"
+    save_graph(chain_graph([1, 20, 1], [1, 1]), dag)
+    config = _write_config(
+        tmp_path, f_c_hz=1.0, f_s_hz=2.0, kappa=1.0, delta_s=1.0, deadline_slots=16,
+        z_up_s=2.0, z_down_s=1.0, theta_up=100.0, theta_down=100.0,
+    )
+    out = tmp_path / "decision.json"
+    argv = ["--config", str(config), "solve", "--dag", str(dag), "--policy", "auto"]
+    assert main(argv + ["--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["psi"] == data["psi_upper"] == 202.0
+    assert data["psi_lower"] == 22.0 * (1 - 2.0**-50)
+    assert (data["exit_reason"], data["optimal_certified"]) == ("window", False)
+    assert [n["location"] for n in data["nodes"]] == ["client", "server", "client"]
+    assert [n["slot"] for n in data["nodes"]] == [1, 13, 15]
+
+
 @pytest.mark.parametrize("policy", ["sequential", "parallel"])
 def test_removed_policies_exit_2(tmp_path, capsys, policy):
     dag = _gen_dag(tmp_path)

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtoffload import colgen, mincut
-from evtoffload.energy import CLIENT, SERVER, check_constraints, worst_case_expected_energy
+from evtoffload.energy import (
+    CLIENT, SERVER, InfeasibleError, check_constraints, worst_case_expected_energy,
+)
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 from evtoffload.oracle import brute_force_optimum, earliest_completion
 
@@ -221,6 +223,40 @@ def test_cut_result_is_certified():
     assert (result.iterations, result.log, result.epsilon) == (0, [], 0.03)
 
 
+def test_chain_offloads_when_local_execution_misses_the_deadline():
+    # Local takes 22 slots, offloading node 2 takes 15; the cut keeps node
+    # 2 local (20 < 200), so only the window search meets T = 16, and column
+    # generation, which starts all-local, cannot.
+    graph = chain_graph([1, 20, 1], [1, 1])
+    params = toy_params(theta_up=100.0, theta_down=100.0, deadline_slots=16)
+    assert mincut.min_cut(graph, params)[0] == []
+    with pytest.raises(InfeasibleError):
+        colgen.solve(graph, params)
+    result = mincut.solve(graph, params)
+    assert result.decision.server_set() == {2}
+    assert result.exit_reason == mincut.EXIT_WINDOW and not result.optimal_certified
+    assert result.report.psi == result.bounds.psi_upper == 202.0
+    assert result.bounds.psi_lower == 22.0 * (1 - 2.0**-50)
+    assert check_constraints(graph, result.decision, params) == []
+    with pytest.raises(InfeasibleError, match="no offload window"):
+        mincut.solve(graph, params.replace(deadline_slots=14))
+
+
+def test_binding_chain_gets_the_window_search():
+    # With 4-slot transfers local execution takes 26 slots, offloading
+    # node 2 takes 1 + 4 + 6 + 4 + 12 + 1 = 28 and nodes 2-3 take 22.  The
+    # cut offloads node 2 alone (psi 16 against 17), which misses T = 26;
+    # the best window that meets it offloads nodes 2-3 (psi 17, local 26).
+    graph = chain_graph([1, 12, 12, 1], [1, 1, 14])
+    params = toy_params(z_up_s=4.0, z_down_s=4.0, deadline_slots=26)
+    assert mincut.min_cut(graph, params)[0] == [2]
+    result = mincut.solve(graph, params)
+    oracle = brute_force_optimum(graph, params)
+    assert result.exit_reason == mincut.EXIT_WINDOW
+    assert result.decision == oracle.decision and result.decision.server_set() == {2, 3}
+    assert result.report.psi == oracle.psi_star == 17.0
+
+
 def test_round_down_stays_below_the_quotient():
     # 0.1 rounds up to nearest, 1/3 rounds down, 3/4 is exact.
     assert 0.1 > Fraction(1, 10) and mincut._round_down(1, 10) == math.nextafter(0.1, 0.0)
@@ -328,3 +364,33 @@ def test_binding_deadlines_give_a_feasible_bracket(
     if result.exit_reason == mincut.EXIT_MINCUT:
         assert result.report.psi == pytest.approx(optimum, rel=1e-12)
     assert SERVER not in (result.decision.location[1], result.decision.location[graph.n_nodes])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(1, 20), min_size=3, max_size=10), st.data(), dyadic, dyadic, dyadic,
+    st.sampled_from([1.0, 4.0, 12.0]), st.sampled_from([1.0, 4.0, 12.0]), st.floats(0.0, 1.3),
+)
+def test_chains_match_brute_force_at_any_deadline(
+    workloads, data, kappa, theta_up, theta_down, z_up, z_down, lam
+):
+    # Deadlines run from 0 to 1.3x serial, so local execution may miss
+    # them; with the server the faster side, one contiguous window is an
+    # optimum, and the window search finds it or proves none exists.
+    bits = data.draw(st.lists(st.integers(0, 60), min_size=len(workloads) - 1,
+                              max_size=len(workloads) - 1))
+    graph = chain_graph(workloads, bits)
+    params = toy_params(
+        z_up_s=z_up, z_down_s=z_down, kappa=kappa, theta_up=theta_up, theta_down=theta_down,
+        deadline_slots=max(1, int(lam * sum(workloads))),
+    )
+    try:
+        optimum = brute_force_optimum(graph, params).psi_star
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            mincut.solve(graph, params)
+        return
+    result = mincut.solve(graph, params)
+    assert check_constraints(graph, result.decision, params) == []
+    assert result.report.psi == result.bounds.psi_upper == optimum
+    assert result.bounds.psi_lower <= optimum
