@@ -4,9 +4,12 @@
 decision JSON (`write_decision_json`) followed by the iteration-log CSV
 (`write_iteration_log`).  The corpus is `random_small_instance` seeds
 0-259 at epsilon 0 and 0.03, the criterion-8 scaling instances at N=100
-and N=1000, and smart_diagnosis at epsilon 0.03 and 0.  A solver refactor
-must leave every digest unchanged; an intended output change regenerates
-the file with
+and N=1000, smart_diagnosis at epsilon 0.03 and 0, and a binding-deadline
+slice: seeds 0-99 at epsilon 0.03 with the deadline set to the all-local
+earliest-completion critical path plus 2 slots, so that many solves start
+from the earliest-completion schedule and the windows are tight.  A solver
+refactor must leave every digest unchanged; an intended output change
+regenerates the file with
 
     PYTHONPATH=src:tests python tests/test_golden.py --write
 """
@@ -21,8 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from evtoffload.colgen import solve, write_decision_json, write_iteration_log
-from evtoffload.energy import InfeasibleError, SystemParams, exec_slots
+from evtoffload.energy import CLIENT, InfeasibleError, SystemParams, exec_slots
 from evtoffload.graph import load_graph
+from evtoffload.oracle import earliest_completion
 from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
 
 from conftest import INSTANCE_DIR, random_small_instance
@@ -51,6 +55,11 @@ def corpus():
     graph = load_graph(INSTANCE_DIR / "smart_diagnosis.json")
     for eps in (0.03, 0.0):
         yield f"smart_diagnosis-eps{eps}", graph, SystemParams(), eps
+    for seed in range(100):
+        graph, params = random_small_instance(seed)
+        local = earliest_completion(graph, dict.fromkeys(graph.node_ids, CLIENT), params)
+        binding = params.replace(deadline_slots=max(local.slots.values()) + 2)
+        yield f"binding-{seed}-eps0.03", graph, binding, 0.03
 
 
 def digest(graph, params, eps, work: Path) -> str:
