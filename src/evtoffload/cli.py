@@ -27,7 +27,7 @@ from .gev import (
     load_trace_samples,
     GevParams,
 )
-from .graph import GraphError, load_graph, save_graph
+from .graph import GraphError, load_graph, save_graph, write_json
 from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 
@@ -37,10 +37,6 @@ PAPER_DEFAULTS = {
     "theta_up": 4.81e-4,
     "theta_down": 1.11e-5,
 }
-
-
-def _write_json(path: str, data: dict) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def _load_params(args) -> SystemParams:
@@ -65,7 +61,7 @@ def cmd_fit(args) -> int:
         out = dict(PAPER_DEFAULTS)
         out["eps_m_up"] = args.eps_m_up
         out["eps_m_down"] = args.eps_m_down
-        _write_json(args.out, out)
+        write_json(args.out, out)
         return 0
     samples = load_trace_samples(args.traces, args.payload_bits)
     fits: dict[str, GevParams] = {}
@@ -87,7 +83,7 @@ def cmd_fit(args) -> int:
     out["eps_m_up"] = args.eps_m_up
     out["eps_m_down"] = args.eps_m_down
     out["block_size_k"] = args.k
-    _write_json(args.out, out)
+    write_json(args.out, out)
     return 0
 
 
@@ -106,7 +102,7 @@ def cmd_oracle(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
     result = brute_force_optimum(graph, params)
-    _write_json(
+    write_json(
         args.out,
         {
             "psi": result.psi_star,
@@ -153,8 +149,11 @@ def cmd_compare(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
     gev_data = json.loads(Path(args.gev).read_text())
-    v_up = GevParams(**gev_data["v_up"])
-    v_down = GevParams(**gev_data["v_down"])
+    try:
+        v_up = GevParams(**gev_data["v_up"])
+        v_down = GevParams(**gev_data["v_down"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"gev {args.gev}: needs v_up and v_down, each with mu, sigma and xi") from exc
     eps_grid = [float(x) for x in args.eps_grid.split(",")]
     eps_m_grid = [float(x) for x in args.eps_m_grid.split(",")]
 
@@ -181,7 +180,7 @@ def cmd_compare(args) -> int:
                     "iterations": result.iterations,
                 }
             )
-    _write_json(args.out, {"rows": rows})
+    write_json(args.out, {"rows": rows})
     return 0
 
 

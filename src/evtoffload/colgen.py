@@ -19,14 +19,14 @@ slot-range, endpoint and source-execution tests, and psi is the correctly
 rounded sum of per-solve energy terms under the location mask, bit for bit
 the value `worst_case_expected_energy` gives.
 
-Rounds are incremental.  An admission, or its rollback, moves one node v,
-which changes only the margins and dual weights of v's edges, v's psi
-terms, and the windows, transfer energy and slot offsets of v's
-neighbours.  The core keeps all of these from round to round and each
-round recomputes just those rows, by the same functions that compute every
-row of a fresh state.  psi and the dual normalisation are exact running
-sums (`ExactSum`, integers in units of 2**-1074), so they read out exactly
-what `math.fsum` of all the terms gives.  Only the dual-weighted pricing
+Rounds are incremental.  An admission moves one node v, which changes
+only the margins and dual weights of v's edges, v's psi terms, and the
+windows, transfer energy and slot offsets of v's neighbours.  The core
+keeps all of these from round to round and each round recomputes just
+those rows, by the same functions that compute every row of a fresh
+state.  psi and the dual normalisation are exact running sums (`ExactSum`,
+integers in units of 2**-1074), so they read out exactly what `math.fsum`
+of all the terms gives.  Only the dual-weighted pricing
 sums, which the normalisation changes everywhere, and the slot choice are
 redone in full every round.
 
@@ -51,25 +51,25 @@ rigorous bound on the rounding error of the computed curve.  Within that
 bound the computed curve need not be monotone, so the window is scanned
 slot by slot, which gives exactly the slot and value a full scan gives
 (smallest slot on ties).  A column is admitted only if it strictly lowers
-the energy objective; otherwise it is blacklisted for later rounds.  An
-admission that breaks master feasibility is rolled back when the next
-master check signals it.
+the energy objective; otherwise it is blacklisted for later rounds.  The
+admitted slot lies in the node's window, which keeps every edge at the node,
+the slot range and source execution satisfied, and no other row moves, so
+the master check after an admission always passes.
 
-Bound bookkeeping: r_underbar records the pricing value of each round, but
-psi_lower is held at a provable combinatorial floor on psi (see
+Bound bookkeeping: the log's r_underbar is the pricing value of each
+round, but psi_lower is held at a provable combinatorial floor on psi (see
 `attribution_lower_bound`) because the textbook update
 psi_upper + K * r_underbar is only heuristic here and can overshoot the
-true optimum.  The solver labels an exit as optimal only when the full
-candidate grid prices nonnegative, no single relocation lowers the energy,
-and the upper bound meets that combinatorial floor - a sound certificate,
-unlike the raw nonnegative-pricing test.
+true optimum.  A nonnegative-pricing exit is labelled optimal only when the
+upper bound meets that floor: psi_upper is the energy of a feasible
+decision and the floor is below every decision's energy, so the certificate
+rests on the bound alone.
 """
 from __future__ import annotations
 
 import csv
 import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -87,7 +87,7 @@ from .energy import (
     slot_table,
     worst_case_expected_energy,
 )
-from .graph import GraphValidationError, TaskGraph, topological_order, validate_graph
+from .graph import GraphValidationError, TaskGraph, topological_order, validate_graph, write_json
 from .oracle import earliest_completion
 
 CERT_REL_TOL = 1e-12
@@ -107,20 +107,13 @@ EXIT_RATIO = "ratio"
 
 
 class RmpInfeasible(Exception):
-    """The current schedule violates the master constraints: reject the
-    most recently added column."""
-
-
-class NoFeasibleSlotError(Exception):
-    """A candidate's completion-slot window is empty."""
+    """The current schedule violates the master constraints."""
 
 
 @dataclass
 class PricedColumn:
     node: int
     reduced_cost: float
-    t_min: int
-    t_max: int
     slot: int
 
 
@@ -146,10 +139,7 @@ class PricingTable:
         if not open_idx.size:
             return None
         i = open_idx[np.argmin(self.zeta[open_idx])]
-        return PricedColumn(
-            int(self.node[i]), float(self.zeta[i]), int(self.t_min[i]), int(self.t_max[i]),
-            int(self.slot[i]),
-        )
+        return PricedColumn(int(self.node[i]), float(self.zeta[i]), int(self.slot[i]))
 
 
 # 2**-1074 is the least positive double: every finite double is a multiple.
@@ -473,7 +463,6 @@ class SolverState:
     params: SystemParams
     psi_upper: float = math.inf
     psi_lower: float = 0.0
-    r_underbar: float = math.inf
     iterations: int = 0
     core: PricingCore = field(init=False, repr=False, compare=False)
     on_server: np.ndarray = field(init=False, repr=False, compare=False)
@@ -557,13 +546,12 @@ def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.n
     """Feasibility-check the current schedule; refresh the bound and duals.
 
     Returns (psi_upper, duals, schedule).  Raises RmpInfeasible when the
-    schedule violates any master constraint, which tells the caller to
-    reject the most recently added column.  On a feasible schedule every
-    edge margin is its slack, so the check and the duals share one pass.
-    `moved` names the one node whose location or slot changed since the
-    previous call; the rows it does not reach must have passed the last
-    check that passed, as they do in the solve loop, which rolls a rejected
-    admission back at once.  None rechecks everything.
+    schedule violates any master constraint; the solve loop only admits
+    slots of a priced window, so there this is a structural guard.  On a
+    feasible schedule every edge margin is its slack, so the check and the
+    duals share one pass.  `moved` names the one node whose location or
+    slot changed since the previous call; the rows it does not reach must
+    have passed the last check that passed.  None rechecks everything.
     """
     core = state.core
     if core.master_check(state.on_server, state.schedule, moved) is None:
@@ -571,20 +559,6 @@ def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.n
     state.psi_upper = core.psi(state.on_server, moved)
     state.duals = tightness_duals(core, moved)
     return state.psi_upper, state.duals, state.schedule
-
-
-def feasible_slot_range(node: int, state: SolverState) -> tuple[int, int]:
-    """Completion-slot window for moving `node` to the server.
-
-    Every slot in the window keeps all constraints touching the node
-    satisfied with the rest of the schedule unchanged.
-    """
-    core = state.core
-    core.refresh(state.on_server, state.schedule)
-    t_min, t_max = int(core.t_min[node]), int(core.t_max[node])
-    if t_min > t_max:
-        raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
-    return t_min, t_max
 
 
 def reduced_cost(node: int, slot: int, state: SolverState) -> float:
@@ -596,29 +570,13 @@ def reduced_cost(node: int, slot: int, state: SolverState) -> float:
     return float(_zeta(*(c[node] for c in coef), float(slot)))
 
 
-def solve_td(node: int, state: SolverState) -> tuple[int, float]:
-    """Exact completion-slot choice for one candidate.
-
-    Returns the minimizing slot of the feasible window (smallest on ties)
-    and its zeta value, as a scan over every slot would.
-    """
-    table = state.core.price(state, [node])
-    if not table.node.size:
-        raise NoFeasibleSlotError(f"node {node} has no feasible completion slot")
-    return int(table.slot[0]), float(table.zeta[0])
-
-
 def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
     """Price every interior client node, blacklisted ones included.
 
     `moved` names the one node moved since the previous call (None: any).
     """
-    return state.core.price(state, _client_interior(state), moved)
-
-
-def _client_interior(state: SolverState) -> np.ndarray:
     interior = state.core.interior
-    return interior[~state.on_server[interior]]
+    return state.core.price(state, interior[~state.on_server[interior]], moved)
 
 
 def delta_psi(node: int, state: SolverState) -> float:
@@ -665,19 +623,6 @@ def attribution_lower_bound(graph: TaskGraph, params: SystemParams) -> float:
     return math.fsum(terms)
 
 
-def _grid_verification(state: SolverState, table: PricingTable) -> tuple[bool, bool]:
-    """(all zeta >= 0 over the full grid, no single relocation helps).
-
-    `table` prices every interior client node on the current state,
-    blacklisted ones included: this is the full candidate grid of the
-    pricing problem, and each zeta in it is its candidate's minimum over
-    the whole window.
-    """
-    grid_nonneg = not bool((table.zeta < 0.0).any())
-    stationary = not any(delta_psi(node, state) < 0 for node in _client_interior(state).tolist())
-    return grid_nonneg, stationary
-
-
 def checked_epsilon(graph: TaskGraph, params: SystemParams, epsilon: float | None) -> float:
     """The epsilon a solve uses; raises on an out-of-range epsilon or an invalid graph."""
     eps = params.epsilon if epsilon is None else epsilon
@@ -701,82 +646,52 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
     state = initial_rmp(graph, params)
     psi_floor = attribution_lower_bound(graph, params)
     log: list[IterationRecord] = []
-    exit_reason = EXIT_NO_COLUMN
-    dirty = True
+    exit_reason: str | None = None
+    # The node admitted since the last priced round (None: a fresh state),
+    # and that round's table (None: reprice).
+    moved: int | None = None
     table: PricingTable | None = None
-    last_admission: tuple[int, int] | None = None
     round_idx = 0
     max_rounds = 2 * graph.n_nodes + 8
 
-    while True:
+    while exit_reason is None:
         round_idx += 1
         if round_idx > max_rounds:  # pragma: no cover - structural guard
             raise RuntimeError("column generation failed to terminate")
-        if dirty:
-            # Only the admitted node has moved since the last dirty round,
-            # so only the rows it reaches are recomputed.
-            moved = None if last_admission is None else last_admission[0]
-            try:
-                solve_rmp(state, moved)
-            except RmpInfeasible:
-                if last_admission is None:
-                    raise
-                node, prev_slot = last_admission
-                state.on_server[node] = False
-                state.schedule[node] = prev_slot
-                state.iterations -= 1
-                state.blacklist[node] = True
-                solve_rmp(state, moved)
-            last_admission = None
+        if table is None:
+            # Only the rows the admitted node reaches are recomputed.
+            solve_rmp(state, moved)
             table = _price_all(state, moved)
-            dirty = False
 
         column = table.best(state.blacklist)
         r_scan = 0.0 if column is None else column.reduced_cost
 
-        # The scan pricing value is recorded as r_underbar, but the lower
+        # The scan pricing value is logged as r_underbar, but the lower
         # bound comes from the provable combinatorial floor: the heuristic
         # psi_upper + K*r_underbar can overshoot the true optimum, which
         # would break the bound sandwich.
-        state.r_underbar = r_scan
         state.psi_lower = max(0.0, min(psi_floor, state.psi_upper))
 
+        admitted: int | None = None
         if column is None:
             exit_reason = EXIT_NO_COLUMN
         elif r_scan >= 0.0:
             exit_reason = EXIT_PRICING_NONNEG
         elif state.psi_upper <= (1.0 + eps) * state.psi_lower:
             exit_reason = EXIT_RATIO
+        elif delta_psi(column.node, state) < 0.0:
+            admitted = moved = column.node
+            state.on_server[admitted] = True
+            state.schedule[admitted] = column.slot
+            state.iterations += 1
+            table = None
         else:
-            node = column.node
-            admitted: int | None = None
-            if delta_psi(node, state) < 0.0:
-                last_admission = (node, int(state.schedule[node]))
-                state.on_server[node] = True
-                state.schedule[node] = column.slot
-                state.iterations += 1
-                admitted = node
-                dirty = True
-            else:
-                state.blacklist[node] = True
-            log.append(
-                IterationRecord(
-                    round_idx, state.psi_upper, state.psi_lower, r_scan, admitted
-                )
-            )
-            continue
+            state.blacklist[column.node] = True
+        log.append(IterationRecord(round_idx, state.psi_upper, state.psi_lower, r_scan, admitted))
 
-        log.append(
-            IterationRecord(round_idx, state.psi_upper, state.psi_lower, r_scan, None)
-        )
-        break
-
-    # The loop leaves only from a round that admitted nothing, so the last
-    # table was priced on the final locations, schedule and duals.
-    grid_nonneg, stationary = _grid_verification(state, table)
-    bound_tight = state.psi_upper <= psi_floor * (1.0 + CERT_REL_TOL) + 1e-300
     certified = (
-        exit_reason == EXIT_PRICING_NONNEG and grid_nonneg and stationary and bound_tight
+        exit_reason == EXIT_PRICING_NONNEG
+        and state.psi_upper <= psi_floor * (1.0 + CERT_REL_TOL) + 1e-300
     )
     if certified:
         state.psi_lower = state.psi_upper
@@ -815,9 +730,7 @@ def decision_export_dict(result: SolveResult, extra: dict | None = None) -> dict
 
 
 def write_decision_json(path: str | Path, result: SolveResult, extra: dict | None = None) -> None:
-    Path(path).write_text(
-        json.dumps(decision_export_dict(result, extra), indent=2, sort_keys=True) + "\n"
-    )
+    write_json(path, decision_export_dict(result, extra))
 
 
 def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:

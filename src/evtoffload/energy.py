@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .graph import TaskGraph
+from .graph import TaskGraph, write_json
 
 CLIENT = "client"
 SERVER = "server"
@@ -97,11 +97,13 @@ class SystemParams:
         return self._z_slots[1]
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(asdict(self), indent=2, sort_keys=True) + "\n")
+        write_json(path, asdict(self))
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SystemParams":
         data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(f"config {path}: top level must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

@@ -260,4 +260,10 @@ def load_graph(path: str | Path) -> TaskGraph:
 
 def save_graph(graph: TaskGraph, path: str | Path) -> None:
     """Write the canonical JSON form (save o load is the identity)."""
-    Path(path).write_text(json.dumps(graph_to_dict(graph), indent=2, sort_keys=True) + "\n")
+    write_json(path, graph_to_dict(graph))
+
+
+def write_json(path: str | Path, data) -> None:
+    """Write `data` as every JSON file of the package is written: sorted keys,
+    a two-space indent and a final newline."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

@@ -47,7 +47,7 @@ from .energy import (
     slot_table,
 )
 from .gev import GevParams, gev_sample
-from .graph import DataEdge, TaskGraph, TaskModule, topological_order
+from .graph import DataEdge, TaskGraph, TaskModule, topological_order, write_json
 
 # Parameters of each family; all of them must be finite numbers.
 _FAMILY_PARAMS = {
@@ -134,6 +134,8 @@ class TraceModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TraceModel":
+        if not isinstance(data, dict):
+            raise ValueError("trace model must be a JSON object")
         kwargs = {}
         for name in QUANTITIES:
             spec = data.get(name)
@@ -172,7 +174,7 @@ class SimReport:
         return asdict(self)
 
     def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
+        write_json(path, self.to_dict())
 
 
 @dataclass

@@ -210,7 +210,7 @@ def test_criterion_4_epsilon_certificates(sandwich_runs):
     record_criterion(
         "criterion 4: epsilon certificates",
         ok,
-        f"{ratio_exits} ratio exits, {certified_exits} certified full-grid exits, {violations} violations",
+        f"{ratio_exits} ratio exits, {certified_exits} certified exits, {violations} violations",
     )
     assert ok, violations
 

@@ -314,6 +314,39 @@ def test_out_of_range_config_gives_error_exit(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+_GEV = {"mu": 2.0, "sigma": 0.01, "xi": 0.05}
+
+
+@pytest.mark.parametrize(
+    "flag,content",
+    [
+        ("config", "[]"),
+        ("model", "[1]"),
+        ("gev", json.dumps({"v_down": _GEV})),
+        ("gev", json.dumps({"v_up": {"mu": 2.0, "sigma": 0.01}, "v_down": _GEV})),
+    ],
+    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi"],
+)
+def test_wrong_shaped_json_gives_error_exit(tmp_path, capsys, flag, content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    config = _toy_config(tmp_path)
+    dag = _gen_dag(tmp_path, nodes=6)
+    decision = tmp_path / "decision.json"
+    assert main(["--config", str(config), "solve", "--dag", str(dag), "--out", str(decision)]) == 0
+    argv = {
+        "config": ["--config", str(bad), "solve", "--dag", str(dag)],
+        "model": ["--config", str(config), "simulate", "--dag", str(dag),
+                  "--decision", str(decision), "--model", str(bad)],
+        "gev": ["--config", str(config), "compare", "--dag", str(dag), "--gev", str(bad)],
+    }[flag]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_policy_dispatch_sequential(tmp_path):
     from evtoffload.graph import save_graph
     from conftest import chain_graph

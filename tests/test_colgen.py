@@ -4,20 +4,16 @@ import pytest
 from evtoffload.colgen import (
     EXIT_PRICING_NONNEG,
     EXIT_RATIO,
-    NoFeasibleSlotError,
     PricingTable,
     RmpInfeasible,
     SolverState,
-    _grid_verification,
     _price_all,
     attribution_lower_bound,
     delta_psi,
-    feasible_slot_range,
     initial_rmp,
     reduced_cost,
     solve,
     solve_rmp,
-    solve_td,
 )
 from evtoffload.energy import (
     CLIENT,
@@ -28,7 +24,7 @@ from evtoffload.energy import (
     worst_case_expected_energy,
 )
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule, load_graph
-from evtoffload.oracle import brute_force_optimum
+from evtoffload.oracle import brute_force_optimum, earliest_completion
 from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
 
 from conftest import INSTANCE_DIR, chain_graph, fan_graph, random_small_instance, toy_params
@@ -46,6 +42,14 @@ def _hand_state(graph, params, schedule, duals, server=()):
 def _set_duals(state, duals):
     """Price the edges named in `duals`, every other edge at 0."""
     state.duals = np.array([duals.get(key, 0.0) for key in state.core.edge_keys])
+
+
+def _priced(node, state):
+    """(t_min, t_max, slot, zeta) of `node` priced alone; None for an empty window."""
+    table = state.core.price(state, [node])
+    if not table.node.size:
+        return None
+    return int(table.t_min[0]), int(table.t_max[0]), int(table.slot[0]), float(table.zeta[0])
 
 
 # --- initial RMP -------------------------------------------------------------
@@ -221,36 +225,51 @@ def _window_fixture():
     return graph, params, state
 
 
-def test_feasible_slot_range_example():
+def test_slot_window_example():
     graph, params, state = _window_fixture()
-    assert feasible_slot_range(2, state) == (8, 9)
+    assert _priced(2, state)[:2] == (8, 9)
 
 
-def test_feasible_slot_range_empty():
+def test_slot_window_empty():
     graph, params, state = _window_fixture()
     state.schedule[3] = 9  # child too early
-    with pytest.raises(NoFeasibleSlotError):
-        feasible_slot_range(2, state)
+    assert _priced(2, state) is None
 
 
+@pytest.mark.parametrize("slack", [None, 0, 2])
 @pytest.mark.parametrize("seed", range(8))
-def test_every_slot_in_window_is_feasible(seed):
+def test_every_slot_in_window_is_feasible(seed, slack):
+    # An admission walk: admit a random candidate at a random slot of its
+    # priced window, reprice, and repeat until no window is left.  Every
+    # slot of every window keeps the schedule feasible, so the master check
+    # after an admission never fails.  The deadline is 60 slots, or the
+    # all-local critical path plus `slack`, where the windows are tight.
     rng = np.random.default_rng(seed)
     graph = gen_layered_dag(
         LayeredDagSpec(n_nodes=6, edge_prob=0.6, workload_scale=4.0, bit_scale=8.0), rng
     )
-    params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=60)
+    local = earliest_completion(graph, dict.fromkeys(graph.node_ids, CLIENT), toy_params())
+    deadline = 60 if slack is None else max(local.slots.values()) + slack
+    params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=deadline)
     state = initial_rmp(graph, params)
-    for node in graph.interior_ids():
-        try:
-            t_min, t_max = feasible_slot_range(node, state)
-        except NoFeasibleSlotError:
-            continue
-        for t in range(t_min, t_max + 1):
-            decision = state.decision()
-            decision.location[node] = SERVER
-            decision.slot[node] = t
-            assert check_constraints(graph, decision, params) == []
+    solve_rmp(state)
+    moved = None
+    while True:
+        table = _price_all(state, moved)
+        for node, t_min, t_max in zip(*(a.tolist() for a in (table.node, table.t_min, table.t_max))):
+            for t in range(t_min, t_max + 1):
+                decision = state.decision()
+                decision.location[node] = SERVER
+                decision.slot[node] = t
+                assert check_constraints(graph, decision, params) == []
+        if not table.node.size:
+            break
+        i = int(rng.integers(table.node.size))
+        moved = int(table.node[i])
+        state.on_server[moved] = True
+        state.schedule[moved] = rng.integers(table.t_min[i], table.t_max[i] + 1)
+        solve_rmp(state, moved)
+        assert check_constraints(graph, state.decision(), params) == []
 
 
 # --- slot choice (TD) --------------------------------------------------------
@@ -258,23 +277,20 @@ def test_every_slot_in_window_is_feasible(seed):
 def test_td_width_one_window():
     graph, params, state = _window_fixture()
     state.schedule[3] = 11  # window shrinks to [8, 8]
-    slot, _ = solve_td(2, state)
-    assert slot == 8
+    assert _priced(2, state)[2] == 8
 
 
 def test_td_parent_duals_pull_to_latest_slot():
     # Only parent rows priced: zeta decreases in t, so the scan picks t_max.
     graph, params, state = _window_fixture()
     _set_duals(state, {(1, 2): 0.5})
-    slot, _ = solve_td(2, state)
-    assert slot == 9
+    assert _priced(2, state)[2] == 9
 
 
 def test_td_child_duals_pull_to_earliest_slot():
     graph, params, state = _window_fixture()
     _set_duals(state, {(2, 3): 0.5})
-    slot, _ = solve_td(2, state)
-    assert slot == 8
+    assert _priced(2, state)[2] == 8
 
 
 def _enumerate_bip(node, state, graph, params):
@@ -317,10 +333,9 @@ def test_td_matches_exhaustive_enumeration(seed):
     for node in graph.interior_ids():
         expected = _enumerate_bip(node, state, graph, params)
         if expected is None:
-            with pytest.raises(NoFeasibleSlotError):
-                solve_td(node, state)
+            assert _priced(node, state) is None
             continue
-        slot, zeta = solve_td(node, state)
+        _, _, slot, zeta = _priced(node, state)
         assert slot == expected[0]
         assert zeta == pytest.approx(expected[1], rel=1e-12)
 
@@ -331,7 +346,7 @@ def test_npp_single_candidate_reduces_to_td():
     graph, params, state = _window_fixture()
     _set_duals(state, {(1, 2): 0.2, (2, 3): 0.1})
     column = _price_all(state).best(state.blacklist)
-    slot, zeta = solve_td(2, state)
+    _, _, slot, zeta = _priced(2, state)
     assert column.node == 2
     assert column.slot == slot
     assert column.reduced_cost == zeta
@@ -363,7 +378,7 @@ def test_npp_dominates_full_grid(seed):
         if got is not None:
             assert column.reduced_cost <= got[1] + 1e-12
     # The table prices the full grid: its sign agrees with the enumeration.
-    grid_nonneg, _ = _grid_verification(state, table)
+    grid_nonneg = not (table.zeta < 0.0).any()
     enumerated = [_enumerate_bip(n, state, graph, params) for n in graph.interior_ids()]
     assert grid_nonneg == all(got[1] >= 0.0 for got in enumerated if got is not None)
 
@@ -478,7 +493,7 @@ def test_solve_admitted_slot_within_precomputed_window():
     )
     state = initial_rmp(graph, params)
     solve_rmp(state)
-    window = feasible_slot_range(2, state)
+    window = _priced(2, state)[:2]
     result = solve(graph, params, 0.0)
     assert result.decision.server_set() == {2}
     assert window[0] <= result.decision.slot[2] <= window[1]

@@ -1,12 +1,12 @@
 """Incremental column-generation rounds against a from-scratch recompute.
 
-An admission, or its rollback, moves one node, and the solve loop then
-updates only the rows that node reaches: the margins and dual weights of its
-edges, its psi terms, and the windows, transfer energy and slot offsets of
-its neighbours.  Here random DAGs go through random sequences of such moves:
-admissions of client nodes, at a slot of their window or anywhere, and
-rollbacks of server nodes to the client.  A move the master rejects is
-undone, as the solve loop does.  After every step each incrementally kept
+An admission moves one node, and the solve loop then updates only the rows
+that node reaches: the margins and dual weights of its edges, its psi terms,
+and the windows, transfer energy and slot offsets of its neighbours.  Here
+random DAGs go through random sequences of one-node moves: admissions of
+client nodes, at a slot of their window or anywhere, and moves of server
+nodes back to the client, at any slot.  A move the master rejects is undone
+before the next one.  After every step each incrementally kept
 array is compared with the same array recomputed from scratch on a fresh
 state with the same locations and schedule: margins, windows and the
 coefficients bit for bit, the duals also against `math.fsum` of the weights,
@@ -99,7 +99,7 @@ def test_incremental_rounds_match_a_fresh_recompute(walk):
     for node, anywhere, pick in steps:
         prev = bool(state.on_server[node]), int(state.schedule[node])
         if state.on_server[node]:
-            state.on_server[node] = False  # a rollback, to any slot
+            state.on_server[node] = False  # back to the client, at any slot
             state.schedule[node] = pick % (params.deadline_slots + 3) - 1
         else:
             state.on_server[node] = True

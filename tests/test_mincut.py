@@ -364,6 +364,14 @@ def test_binding_deadlines_give_a_feasible_bracket(
     if result.exit_reason == mincut.EXIT_MINCUT:
         assert result.report.psi == pytest.approx(optimum, rel=1e-12)
     assert SERVER not in (result.decision.location[1], result.decision.location[graph.n_nodes])
+    # Column generation starts all-local, which meets these deadlines; its
+    # certificate rests on psi_upper meeting its floor alone.
+    cg = colgen.solve(graph, params)
+    assert check_constraints(graph, cg.decision, params) == []
+    assert cg.report.psi == cg.bounds.psi_upper
+    assert cg.bounds.psi_lower <= optimum * (1 + 1e-12) and optimum <= cg.bounds.psi_upper
+    if cg.optimal_certified:
+        assert cg.report.psi == pytest.approx(optimum, rel=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

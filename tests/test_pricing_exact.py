@@ -12,17 +12,10 @@ rounding (0.1 + 0.2 against 0.3).
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evtoffload.colgen import (
-    NoFeasibleSlotError,
-    SolverState,
-    _price_all,
-    feasible_slot_range,
-    solve_td,
-)
+from evtoffload.colgen import SolverState, _price_all
 from evtoffload.energy import CLIENT, slot_table
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 
@@ -121,13 +114,12 @@ def test_batched_pricing_matches_literal_scan(state):
             assert node not in priced
             continue
         expected = reference(node, state)
+        alone = state.core.price(state, [node])
         if expected is None:
             assert node not in priced
-            with pytest.raises(NoFeasibleSlotError):
-                feasible_slot_range(node, state)
+            assert alone.node.size == 0
             continue
         slot, zeta = priced[node]
         assert (slot, zeta.hex()) == (expected[0], expected[1].hex())
-        assert solve_td(node, state) == (slot, zeta)
-        t_min, t_max = feasible_slot_range(node, state)
-        assert t_min <= slot <= t_max
+        assert (int(alone.slot[0]), float(alone.zeta[0])) == (slot, zeta)
+        assert alone.t_min[0] <= slot <= alone.t_max[0]
