@@ -31,14 +31,6 @@ from .graph import GraphError, load_graph, save_graph, write_json
 from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 
-PAPER_DEFAULTS = {
-    "z_up_s": 0.349,
-    "z_down_s": 0.107,
-    "theta_up": 4.81e-4,
-    "theta_down": 1.11e-5,
-}
-
-
 def _load_params(args) -> SystemParams:
     params = SystemParams.from_json(args.config) if args.config else SystemParams()
     if getattr(args, "seed", None) is not None:
@@ -58,7 +50,8 @@ def _decision_from_file(path: str) -> OffloadDecision:
 
 def cmd_fit(args) -> int:
     if args.paper_defaults:
-        out = dict(PAPER_DEFAULTS)
+        defaults = dataclasses.asdict(SystemParams())
+        out = {key: defaults[key] for key in ("z_up_s", "z_down_s", "theta_up", "theta_down")}
         out["eps_m_up"] = args.eps_m_up
         out["eps_m_down"] = args.eps_m_down
         write_json(args.out, out)

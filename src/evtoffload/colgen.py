@@ -16,8 +16,8 @@ the returned decision.  Each master step works on the edge arrays of
 `PricingCore`: every edge's margin - its slots beyond its transfer and its
 head's execution - decides feasibility together with the deadline,
 slot-range, endpoint and source-execution tests, and psi is the correctly
-rounded sum of per-solve energy terms under the location mask, bit for bit
-the value `worst_case_expected_energy` gives.
+rounded sum of the `slot_table` energy terms under the location mask, bit
+for bit the value `worst_case_expected_energy` gives from the same terms.
 
 Rounds are incremental.  An admission moves one node v, which changes
 only the margins and dual weights of v's edges, v's psi terms, and the
@@ -223,22 +223,21 @@ class PricingCore:
         n_edges = len(self.edge_keys)
         self.all_edges = np.arange(n_edges)
 
-        # The energy terms of `worst_case_expected_energy`, as the same
-        # Python float products, by location: a node's local term when it is
-        # on the client, an edge's uplink (downlink) term when it crosses
-        # from the client (server).  Index 0 of the node axis is no node.
-        coef = params.kappa * params.f_c_hz * params.f_c_hz
+        # The energy terms of the slot table, the ones psi sums, by location:
+        # a node's local term when it is on the client, an edge's uplink
+        # (downlink) term when it crosses from the client (server).  Index 0
+        # of the node axis is no node.
+        slots = slot_table(graph, params)
         self.local_energy = np.zeros((2, size))
-        self.local_energy[0, self.ids] = [coef * m.workload_cycles for m in graph.modules]
+        self.local_energy[0, self.ids] = [slots.local[n] for n in ids]
         self.up_energy = np.zeros((2, 2, n_edges))
-        self.up_energy[0, 1] = [e.bits * params.theta_up for e in graph.edges]
+        self.up_energy[0, 1] = slots.up
         self.down_energy = np.zeros((2, 2, n_edges))
-        self.down_energy[1, 0] = [e.bits * params.theta_down for e in graph.edges]
+        self.down_energy[1, 0] = slots.down
 
         # A slot count beyond T + 1 empties every window and fails every
         # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
         cap = params.deadline_slots + 1
-        slots = slot_table(graph, params)
         z_up, z_down = min(params.z_up_slots, cap), min(params.z_down_slots, cap)
         self.exec_slots = np.zeros((2, size), dtype=np.int64)
         self.exec_slots[:, self.ids] = [
@@ -247,7 +246,7 @@ class PricingCore:
         ]
         self.transfer_slots = np.array([[0, z_up], [z_down, 0]], dtype=np.int64)
 
-        edge_index = {key: i for i, key in enumerate(self.edge_keys)}
+        edge_index = graph.edge_index
         node, edge, is_parent = [], [], []
         for v in self.interior.tolist():
             for p in graph.parents[v]:
@@ -276,9 +275,8 @@ class PricingCore:
         # adds: the edge's, when the other node is on the client.
         self.row_head = np.where(up, -self.exec_slots[1, inc_node], self.exec_slots[:, other])
         self.row_shift = np.where(up, [[z_up], [0]], [[-z_down], [0]])
-        bits = np.array([e.bits for e in graph.edges], dtype=float)[inc_edge]
         self.row_energy = np.zeros((2, len(node)))
-        self.row_energy[0] = bits * np.where(up, params.theta_up, params.theta_down)
+        self.row_energy[0] = np.where(up, self.up_energy[0, 1, inc_edge], self.down_energy[1, 0, inc_edge])
         self.t_floor = np.maximum(self.exec_slots[1], 1)
 
         self.margin = np.zeros(n_edges, dtype=np.int64)
@@ -581,20 +579,15 @@ def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
 
 def delta_psi(node: int, state: SolverState) -> float:
     """Exact objective change from relocating `node` to the server."""
-    graph, params = state.graph, state.params
-    change = -params.kappa * graph.workload(node) * params.f_c_hz * params.f_c_hz
+    graph = state.graph
+    table, index = slot_table(graph, state.params), graph.edge_index
+    change = -table.local[node]
     for parent in graph.parents[node]:
-        bits = graph.bits(parent, node)
-        if state.location(parent) == CLIENT:
-            change += bits * params.theta_up
-        else:
-            change -= bits * params.theta_down
+        edge = index[(parent, node)]
+        change += table.up[edge] if state.location(parent) == CLIENT else -table.down[edge]
     for child in graph.children[node]:
-        bits = graph.bits(node, child)
-        if state.location(child) == CLIENT:
-            change += bits * params.theta_down
-        else:
-            change -= bits * params.theta_up
+        edge = index[(node, child)]
+        change += table.down[edge] if state.location(child) == CLIENT else -table.up[edge]
     return change
 
 
@@ -606,19 +599,19 @@ def attribution_lower_bound(graph: TaskGraph, params: SystemParams) -> float:
     node and to the (always local) final node.  Every assignment pays at
     least this much, so the bound is safe to clamp psi_lower with.
     """
-    coef = params.kappa * params.f_c_hz * params.f_c_hz
+    table, index = slot_table(graph, params), graph.edge_index
     n_last = graph.n_nodes
     terms = []
     for m in graph.modules:
-        local = coef * m.workload_cycles
+        local = table.local[m.id]
         if m.id == 1 or m.id == n_last:
             terms.append(local)
             continue
         pinned = 0.0
         if 1 in graph.parents[m.id]:
-            pinned += graph.bits(1, m.id) * params.theta_up
+            pinned += table.up[index[(1, m.id)]]
         if n_last in graph.children[m.id]:
-            pinned += graph.bits(m.id, n_last) * params.theta_down
+            pinned += table.down[index[(m.id, n_last)]]
         terms.append(min(local, pinned))
     return math.fsum(terms)
 

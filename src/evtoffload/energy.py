@@ -163,24 +163,27 @@ def _ceil_slots(workload_cycles: int, cycles_per_slot: Fraction) -> int:
 
 @dataclass(frozen=True)
 class SlotTable:
-    """Per-node execution slot counts on each side, precomputed once."""
+    """What one config derives from a graph: each node's execution slots on
+    each side, and the terms psi sums, which every layer reads - each node's
+    local energy kappa * f_c**2 * w (by node id) and each edge's worst-case
+    expected theta_up * b and theta_down * b (in `graph.edges` order)."""
 
     client: dict[int, int]
     server: dict[int, int]
+    local: dict[int, float]
+    up: list[float]
+    down: list[float]
 
     def at(self, node: int, location: str) -> int:
         return self.client[node] if location == CLIENT else self.server[node]
 
 
 def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
-    # Cached on the graph: it is immutable after construction and the exact
-    # Fraction ceilings are not cheap enough for the solver's hot loops.
-    key = (params.f_c_hz, params.f_s_hz, params.delta_s)
-    cache = getattr(graph, "_slot_table_cache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(graph, "_slot_table_cache", cache)
-    table = cache.get(key)
+    # Cached on the graph, by every config value the table reads: the graph
+    # is immutable after construction and the exact Fraction ceilings are not
+    # cheap enough for the solver's hot loops.
+    key = (params.f_c_hz, params.f_s_hz, params.delta_s, params.kappa, params.theta_up, params.theta_down)
+    table = graph._slot_tables.get(key)
     if table is None:
         client, server = (
             {m.id: _ceil_slots(m.workload_cycles, per_slot) for m in graph.modules}
@@ -189,8 +192,14 @@ def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
                 Fraction(params.f_s_hz) * Fraction(params.delta_s),
             )
         )
-        table = SlotTable(client=client, server=server)
-        cache[key] = table
+        coef = params.kappa * params.f_c_hz * params.f_c_hz
+        table = graph._slot_tables[key] = SlotTable(
+            client=client,
+            server=server,
+            local={m.id: coef * m.workload_cycles for m in graph.modules},
+            up=[e.bits * params.theta_up for e in graph.edges],
+            down=[e.bits * params.theta_down for e in graph.edges],
+        )
     return table
 
 
@@ -234,24 +243,19 @@ def worst_case_expected_energy(
 ) -> EnergyReport:
     """Psi: local execution energy plus expected worst-case transfer energy.
 
-    Location-only: completion slots never enter the objective.
+    Location-only: completion slots never enter the objective.  The terms
+    are the ones `slot_table` holds.
     """
-    coef = params.kappa * params.f_c_hz * params.f_c_hz
-    local_terms = [
-        coef * m.workload_cycles for m in graph.modules if decision.is_client(m.id)
-    ]
-    up_terms = []
-    down_terms = []
-    for e in graph.edges:
-        src_client = decision.is_client(e.src)
-        dst_client = decision.is_client(e.dst)
-        if src_client and not dst_client:
-            up_terms.append(e.bits * params.theta_up)
-        elif not src_client and dst_client:
-            down_terms.append(e.bits * params.theta_down)
-    local = math.fsum(local_terms)
-    up = math.fsum(up_terms)
-    down = math.fsum(down_terms)
+    table, location = slot_table(graph, params), decision.location
+    local = math.fsum([table.local[m.id] for m in graph.modules if location[m.id] == CLIENT])
+    up_terms, down_terms = [], []
+    for e, up, down in zip(graph.edges, table.up, table.down):
+        src_client = location[e.src] == CLIENT
+        if src_client and location[e.dst] != CLIENT:
+            up_terms.append(up)
+        elif not src_client and location[e.dst] == CLIENT:
+            down_terms.append(down)
+    up, down = math.fsum(up_terms), math.fsum(down_terms)
     return EnergyReport(
         psi=local + up + down,
         local_exec_energy=local,

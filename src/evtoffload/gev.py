@@ -18,6 +18,8 @@ import numpy as np
 from scipy.optimize import minimize
 from scipy.special import gamma as gamma_fn
 
+from .energy import is_finite_number
+
 # Below this magnitude the Gumbel branch is used; avoids catastrophic
 # cancellation of (1 - y**-xi)/xi near the Gumbel limit.
 XI_ZERO_TOL = 1e-9
@@ -56,6 +58,9 @@ class GevParams:
     xi: float
 
     def __post_init__(self):
+        for name in ("mu", "sigma", "xi"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not self.sigma > 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 

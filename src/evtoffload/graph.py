@@ -7,6 +7,7 @@ on the client device.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 from dataclasses import dataclass, field
@@ -48,7 +49,7 @@ class DataEdge:
 
 @dataclass
 class TaskGraph:
-    """DAG of task modules. Treat as immutable after construction."""
+    """DAG of task modules. Treat as immutable: derived indices are cached on first use."""
 
     modules: list[TaskModule]
     edges: list[DataEdge]
@@ -56,17 +57,14 @@ class TaskGraph:
     children: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = [m.id for m in self.modules]
-        self.parents = {i: [] for i in ids}
-        self.children = {i: [] for i in ids}
-        for e in self.edges:
-            if e.src in self.children:
-                self.children[e.src].append(e.dst)
-            if e.dst in self.parents:
-                self.parents[e.dst].append(e.src)
-        for i in ids:
-            self.parents[i].sort()
-            self.children[i].sort()
+        self.parents = {m.id: [] for m in self.modules}
+        self.children = {m.id: [] for m in self.modules}
+        # In (src, dst) order, so that both lists of every node come out sorted.
+        for src, dst in sorted((e.src, e.dst) for e in self.edges):
+            if src in self.children:
+                self.children[src].append(dst)
+            if dst in self.parents:
+                self.parents[dst].append(src)
 
     @property
     def n_nodes(self) -> int:
@@ -77,21 +75,49 @@ class TaskGraph:
         return [m.id for m in self.modules]
 
     def workload(self, node: int) -> int:
-        return self._workloads()[node]
+        return self._workloads[node]
 
+    @functools.cached_property
     def _workloads(self) -> dict[int, int]:
-        cached = getattr(self, "_workload_map", None)
-        if cached is None:
-            cached = {m.id: m.workload_cycles for m in self.modules}
-            object.__setattr__(self, "_workload_map", cached)
-        return cached
+        return {m.id: m.workload_cycles for m in self.modules}
+
+    @functools.cached_property
+    def edge_index(self) -> dict[tuple[int, int], int]:
+        """Position in `edges` of each (src, dst) pair."""
+        return {(e.src, e.dst): i for i, e in enumerate(self.edges)}
 
     def bits(self, src: int, dst: int) -> int:
-        cached = getattr(self, "_bits_map", None)
-        if cached is None:
-            cached = {(e.src, e.dst): e.bits for e in self.edges}
-            object.__setattr__(self, "_bits_map", cached)
-        return cached[(src, dst)]
+        return self.edges[self.edge_index[(src, dst)]].bits
+
+    @functools.cached_property
+    def _slot_tables(self) -> dict:
+        """`energy.slot_table`'s tables of this graph, by the config values they read."""
+        return {}
+
+    @functools.cached_property
+    def _topological_order(self) -> tuple[int, ...]:
+        indeg = {m.id: 0 for m in self.modules}
+        adj: dict[int, list[int]] = {m.id: [] for m in self.modules}
+        for e in self.edges:
+            if e.src in adj and e.dst in indeg and e.src != e.dst:
+                adj[e.src].append(e.dst)
+                indeg[e.dst] += 1
+
+        heap = [i for i, d in indeg.items() if d == 0]
+        heapq.heapify(heap)
+        order: list[int] = []
+        while heap:
+            u = heapq.heappop(heap)
+            order.append(u)
+            for v in sorted(adj[u]):
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heapq.heappush(heap, v)
+
+        if len(order) != len(indeg):
+            u, v = _find_cycle_edge(adj, {i for i, d in indeg.items() if d > 0})
+            raise GraphError(f"cycle detected through edge {u}->{v}")
+        return tuple(order)
 
     def interior_ids(self) -> list[int]:
         n = self.n_nodes
@@ -153,32 +179,7 @@ def topological_order(graph: TaskGraph) -> list[int]:
 
     Raises GraphError naming one edge on a cycle if the graph is cyclic.
     """
-    cached = getattr(graph, "_topo_cache", None)
-    if cached is not None:
-        return list(cached)
-    indeg = {m.id: 0 for m in graph.modules}
-    adj: dict[int, list[int]] = {m.id: [] for m in graph.modules}
-    for e in graph.edges:
-        if e.src in adj and e.dst in indeg and e.src != e.dst:
-            adj[e.src].append(e.dst)
-            indeg[e.dst] += 1
-
-    heap = [i for i, d in indeg.items() if d == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        u = heapq.heappop(heap)
-        order.append(u)
-        for v in sorted(adj[u]):
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                heapq.heappush(heap, v)
-
-    if len(order) != len(indeg):
-        u, v = _find_cycle_edge(adj, {i for i, d in indeg.items() if d > 0})
-        raise GraphError(f"cycle detected through edge {u}->{v}")
-    object.__setattr__(graph, "_topo_cache", tuple(order))
-    return order
+    return list(graph._topological_order)
 
 
 def _find_cycle_edge(adj: dict[int, list[int]], remaining: set[int]) -> tuple[int, int]:

@@ -5,9 +5,9 @@ network has an arc n -> t with the local energy kappa * w_n * f_c**2 of each
 node n and, for each edge (u, v), an arc u -> v with theta_up * b and an arc
 v -> u with theta_down * b.  Nodes 1 and N are merged into the source s, and
 the source side runs on the client, so a cut costs exactly the psi of its
-assignment.  The capacities are the float products that
-`worst_case_expected_energy` sums, as integers over one power of two, so
-Dinic's flow is exact.
+assignment.  The capacities are the energy terms of `energy.slot_table`,
+which `worst_case_expected_energy` sums, as integers over one power of two,
+so Dinic's flow is exact.
 """
 from __future__ import annotations
 
@@ -17,7 +17,8 @@ import math
 from . import colgen
 from .colgen import Bounds, SolveResult
 from .energy import (
-    CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams, worst_case_expected_energy,
+    CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams, slot_table,
+    worst_case_expected_energy,
 )
 from .graph import TaskGraph
 from .oracle import cheapest_feasible, earliest_completion
@@ -35,12 +36,12 @@ def min_cut(graph: TaskGraph, params: SystemParams) -> tuple[list[int], int, int
     node on the client.
     """
     n = graph.n_nodes
-    coef = params.kappa * params.f_c_hz * params.f_c_hz
+    table = slot_table(graph, params)
     vertex = list(range(n)) + [SOURCE]  # node id -> vertex; node N joins s
-    arcs = [(vertex[m.id], SINK, coef * m.workload_cycles, 0.0) for m in graph.modules]
+    arcs = [(vertex[m.id], SINK, table.local[m.id], 0.0) for m in graph.modules]
     arcs += [
-        (vertex[e.src], vertex[e.dst], e.bits * params.theta_up, e.bits * params.theta_down)
-        for e in graph.edges
+        (vertex[e.src], vertex[e.dst], up, down)
+        for e, up, down in zip(graph.edges, table.up, table.down)
         if vertex[e.src] != vertex[e.dst]
     ]
     scale = max(x.as_integer_ratio()[1] for arc in arcs for x in arc[2:])
@@ -124,7 +125,7 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
         return SolveResult(decision, report, bounds, 0, [], EXIT_MINCUT, True, eps)
     floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
     n = graph.n_nodes
-    if {(e.src, e.dst) for e in graph.edges} == {(i, i + 1) for i in range(1, n)}:
+    if graph.edge_index.keys() == {(i, i + 1) for i in range(1, n)}:
         windows = [()] + [range(u, v + 1) for u in range(2, n) for v in range(u, n)]
         local = dict.fromkeys(graph.node_ids, CLIENT)
         locations = (local | dict.fromkeys(w, SERVER) for w in windows)

@@ -2,9 +2,11 @@
 
 Each cross-boundary transfer draws a (queue, rate, power) triple from the
 configured distributions; completion times and realized energy are then
-recomputed with those draws.  Replications are computed together, one row
-of each array per replication, in chunks of at most `_CHUNK_ELEMENTS`
-elements per array; `simulate_execution` is the one-replication case.
+recomputed with those draws.  The client's local execution energy takes no
+draw: it is the `slot_table` term that psi sums.  Replications are computed
+together, one row of each array per replication, in chunks of at most
+`_CHUNK_ELEMENTS` elements per array; `simulate_execution` is the
+one-replication case.
 
 Stream contract (reports are reproducible bit for bit):
 
@@ -198,7 +200,7 @@ class _Replay:
         self.cap = params.deadline_slots + 1
         self.order = topological_order(graph)
         position = {node: j for j, node in enumerate(self.order)}
-        slots = slot_table(graph, params)
+        table, index = slot_table(graph, params), graph.edge_index
 
         # Per node: parent positions, its rows of the edge-slot matrix (the
         # edges into it, contiguous in visit order) and its execution slots.
@@ -216,19 +218,16 @@ class _Replay:
                     direction = "up" if parent_client else "down"
                     self.cross.append((parent, node, direction, len(bits[direction])))
                     edge_rows[direction].append(n_edges)
-                    bits[direction].append(graph.bits(parent, node))
+                    bits[direction].append(graph.edges[index[(parent, node)]].bits)
                 n_edges += 1
-            run_slots = min(slots.at(node, decision.location[node]), self.cap)
+            run_slots = min(table.at(node, decision.location[node]), self.cap)
             parent_pos = np.array([position[p] for p in parents], dtype=np.intp)
             self.steps.append((parent_pos, n_edges - len(parents), n_edges, run_slots))
         self.n_edges = n_edges
         self.sink = position[graph.n_nodes]
         self.edge_rows = {d: np.array(rows, dtype=np.intp) for d, rows in edge_rows.items()}
         self.bits = {d: np.array(b, dtype=float) for d, b in bits.items()}
-        coef = params.kappa * params.f_c_hz * params.f_c_hz
-        self.exec_terms = [
-            coef * m.workload_cycles for m in graph.modules if decision.is_client(m.id)
-        ]
+        self.exec_terms = [table.local[m.id] for m in graph.modules if decision.is_client(m.id)]
         self.specs = {  # drawn in this order
             "up": (model.queue_up_bits, model.rate_up, model.power_up),
             "down": (model.queue_down_bits, model.rate_down, model.power_down),
@@ -385,6 +384,9 @@ class LayeredDagSpec:
             raise ValueError("edge probability must lie in (0, 1]")
         if not 1 <= self.width_min <= self.width_max:
             raise ValueError("bad layer width range")
+        for name in ("workload_scale", "bit_scale"):
+            if not is_finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
 
 
 def _half_normal_int(rng: np.random.Generator, scale: float) -> int:

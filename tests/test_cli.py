@@ -76,6 +76,16 @@ def test_gen_different_seeds_differ(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "flag,value", [("--workload-scale", "inf"), ("--bit-scale", "inf"), ("--workload-scale", "1e400")]
+)
+def test_gen_rejects_non_finite_scale(tmp_path, capsys, flag, value):
+    out = tmp_path / "dag.json"
+    assert main(["gen", "--nodes", "6", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_solve_then_oracle_dominance(tmp_path):
     dag = _gen_dag(tmp_path)
     config = _toy_config(tmp_path)
@@ -324,8 +334,9 @@ _GEV = {"mu": 2.0, "sigma": 0.01, "xi": 0.05}
         ("model", "[1]"),
         ("gev", json.dumps({"v_down": _GEV})),
         ("gev", json.dumps({"v_up": {"mu": 2.0, "sigma": 0.01}, "v_down": _GEV})),
+        ("gev", json.dumps({"v_up": {"mu": "a", "sigma": 0.01, "xi": 0.05}, "v_down": _GEV})),
     ],
-    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi"],
+    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi", "gev-string-mu"],
 )
 def test_wrong_shaped_json_gives_error_exit(tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.json"

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evtoffload import mincut
+from evtoffload.colgen import PricingCore
 from evtoffload.energy import (
     CLIENT,
     SERVER,
@@ -28,7 +30,7 @@ from evtoffload.simulate import (
     simulate_execution,
 )
 
-from conftest import chain_graph, toy_params
+from conftest import chain_graph, random_small_instance, toy_params
 
 
 # --- exec_slots -------------------------------------------------------------
@@ -87,6 +89,32 @@ def test_slot_table_matches_literal_fraction_ceiling(workloads, f_c, f_s, delta)
         assert table.client[node] == _literal_exec_slots(workload, f_c, delta)
         assert table.server[node] == _literal_exec_slots(workload, f_s, delta)
         assert exec_slots(workload, f_c, delta) == table.client[node]
+
+
+@pytest.mark.parametrize("name", ["kappa", "f_c_hz", "theta_up", "theta_down"])
+def test_table_cache_key_covers_every_energy_field(name):
+    """Configs that differ in one energy field get their own psi, min cut and
+    pricing-core psi on one graph: what a graph never evaluated before gives."""
+    graph, params = random_small_instance(0)
+    other = params.replace(**{name: getattr(params, name) * 3})
+    server = mincut.min_cut(graph, params)[0]
+    assert server
+    decision = OffloadDecision(
+        {n: SERVER if n in server else CLIENT for n in graph.node_ids},
+        dict.fromkeys(graph.node_ids, 0),
+    )
+    on_server = np.zeros(graph.n_nodes + 1, dtype=bool)
+    on_server[server] = True
+
+    def values(g, p):
+        _, flow, scale = mincut.min_cut(g, p)
+        psi = worst_case_expected_energy(g, decision, p).psi
+        return psi, flow / scale, PricingCore(g, p).psi(on_server)
+
+    warm = [values(graph, p) for p in (params, other)]
+    fresh = [values(TaskGraph(graph.modules, graph.edges), p) for p in (params, other)]
+    assert warm == fresh
+    assert all(a != b for a, b in zip(*warm))
 
 
 def test_z_slot_conversion_is_exact():

@@ -225,6 +225,14 @@ def test_sigma_must_be_positive():
         GevParams(0, 0, 0)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"mu": math.nan}, {"mu": "a"}, {"sigma": math.inf}, {"xi": math.nan}, {"xi": None}]
+)
+def test_fields_must_be_finite_numbers(fields):
+    with pytest.raises(ValueError, match="must be a finite number"):
+        GevParams(**{"mu": 0.0, "sigma": 1.0, "xi": 0.1, **fields})
+
+
 def test_fit_iteration_cap_error_carries_best_params():
     from evtoffload.gev import FitConvergenceError
 
