@@ -32,10 +32,7 @@ from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 
 def _load_params(args) -> SystemParams:
-    params = SystemParams.from_json(args.config) if args.config else SystemParams()
-    if getattr(args, "seed", None) is not None:
-        params = params.replace(seed=args.seed)
-    return params
+    return SystemParams.from_json(args.config) if args.config else SystemParams()
 
 
 def _decision_from_file(path: str) -> OffloadDecision:
@@ -49,6 +46,11 @@ def _decision_from_file(path: str) -> OffloadDecision:
 
 
 def cmd_fit(args) -> int:
+    # The written config must load in every later command, so its eps_m
+    # values pass the check SystemParams makes.
+    SystemParams(eps_m_up=args.eps_m_up, eps_m_down=args.eps_m_down)
+    if not (args.paper_defaults or args.traces):
+        raise ValueError("fit needs --traces or --paper-defaults")
     if args.paper_defaults:
         defaults = dataclasses.asdict(SystemParams())
         out = {key: defaults[key] for key in ("z_up_s", "z_down_s", "theta_up", "theta_down")}
@@ -183,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Energy-efficient DAG offloading decisions under channel/queue uncertainty",
     )
     parser.add_argument("--config", help="SystemParams JSON (defaults used when omitted)")
-    parser.add_argument("--seed", type=int, help="override the configured seed")
+    parser.add_argument("--seed", type=int,
+                        help="seed of gen's random DAG, and of simulate's replay (overrides the model's)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit GEV models to a trace CSV")

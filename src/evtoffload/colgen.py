@@ -8,27 +8,28 @@ updated incrementally: an admitted column places its node at the
 completion slot chosen by pricing and leaves every other slot untouched,
 which is what preserves the slack the pricing windows need.
 
-The loop state lives in per-solve numpy arrays (`SolverState`): an
-on-server mask, the schedule and the blacklist, indexed by node id, and the
-dual price of each edge.  It becomes an `OffloadDecision` once, at exit,
-where the scalar `check_constraints` and `worst_case_expected_energy` guard
-the returned decision.  Each master step works on the edge arrays of
-`PricingCore`: every edge's margin - its slots beyond its transfer and its
-head's execution - decides feasibility together with the deadline,
-slot-range, endpoint and source-execution tests, and psi is the correctly
-rounded sum of the `slot_table` energy terms under the location mask, bit
-for bit the value `worst_case_expected_energy` gives from the same terms.
+One object, `SolverState`, holds a solve: an on-server mask, the schedule
+and the blacklist, indexed by node id, the dual price of each edge, the
+bounds, and the edge and round arrays derived from them.  It becomes an
+`OffloadDecision` once, at exit, where the scalar `check_constraints` and
+`worst_case_expected_energy` guard the returned decision.  In each master
+step every edge's margin - its slots beyond its transfer and its head's
+execution - decides feasibility together with the deadline, slot-range,
+endpoint and source-execution tests, and psi is the correctly rounded sum
+of the `slot_table` energy terms under the location mask, bit for bit the
+value `worst_case_expected_energy` gives from the same terms.
 
 Rounds are incremental.  An admission moves one node v, which changes
 only the margins and dual weights of v's edges, v's psi terms, and the
-windows, transfer energy and slot offsets of v's neighbours.  The core
+windows, transfer energy and slot offsets of v's neighbours.  The state
 keeps all of these from round to round and each round recomputes just
 those rows, by the same functions that compute every row of a fresh
-state.  psi and the dual normalisation are exact running sums (`ExactSum`,
-integers in units of 2**-1074), so they read out exactly what `math.fsum`
-of all the terms gives.  Only the dual-weighted pricing
-sums, which the normalisation changes everywhere, and the slot choice are
-redone in full every round.
+state; one incidence index, built by one sort, finds v's edges and its
+neighbours' rows.  psi and the dual normalisation are exact running sums
+(`ExactSum`, integers in units of 2**-1074), so they read out exactly what
+`math.fsum` of all the terms gives.  Only the dual-weighted pricing sums,
+which the normalisation changes everywhere, and the slot choice are redone
+in full every round.
 
 Dual prices are tightness weights: each dependency edge is priced
 1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
@@ -43,8 +44,8 @@ Pricing follows the reduced-cost form
 
 which is affine in the completion slot t of the candidate.  Every round
 prices all candidates in one vectorised pass over the same edge arrays:
-windows and coefficients come from per-node reductions over an incidence
-list, with each coefficient summed in the same order as a scalar loop.  The
+windows and coefficients come from per-node reductions over the incidence
+index, with each coefficient summed in the same order as a scalar loop.  The
 minimizing slot is read off the sign of the slope - the window's first slot
 when zeta rises, its last when it falls - whenever the slope exceeds a
 rigorous bound on the rounding error of the computed curve.  Within that
@@ -68,10 +69,9 @@ rests on the bound alone.
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -189,28 +189,34 @@ class ExactSum:
         return self.scaled / (1 << _SUM_SHIFT)
 
 
-class PricingCore:
-    """Edge arrays of one solve, and the round arrays derived from them.
+class SolverState:
+    """The state of one solve: locations, schedule, prices and bounds, with
+    the edge and round arrays derived from them.
 
-    Node-indexed arrays have length N + 1 and are indexed by node id, so ids
-    must be 1..N.  The incidence list holds, for each interior node, its
-    parent edges and then its child edges in `graph.parents` /
-    `graph.children` order: `np.bincount` adds in input order, so each
-    coefficient is summed exactly as a scalar loop over that node would.
-    Tables with a leading location axis (0 client, 1 server) are read with
-    the location of a node, so one lookup replaces a select.
+    `on_server`, `blacklist` (boolean masks) and `schedule` (completion
+    slots) are indexed by node id, `duals` by edge in `graph.edges` order.
+    A new state is all-local at slot 0 with zero prices.  Node-indexed
+    arrays have length N + 1, so ids must be 1..N.  Tables with a leading
+    location axis (0 client, 1 server) are read with the location of a node,
+    so one lookup replaces a select.
+
+    The incidence index holds one row per edge end: each node's parent
+    edges, then its child edges, each group by the id at the other end.
+    That is `graph.parents` / `graph.children` order, and `np.bincount`
+    adds in input order, so each coefficient is summed exactly as a scalar
+    loop over that node would.  `ptr[v]:ptr[v + 1]` are the rows of node v.
 
     The round arrays - edge margins and dual weights, the psi terms, and
-    each candidate's window, transfer energy and slot offsets - are kept
-    from one round to the next.  Each update takes `moved`, the one node
-    whose location or slot changed since the previous update of the same
-    arrays, and recomputes only the rows that node reaches; `moved=None`
-    recomputes every row, which is what a state built or edited by hand
-    needs.
+    each node's window, transfer energy and slot offsets - are kept from one
+    round to the next.  Each update takes `moved`, the one node whose
+    location or slot changed since the previous update of the same arrays,
+    and recomputes only the rows that node reaches; `moved=None` recomputes
+    every row, which is what a state built or edited by hand needs.
     """
 
     def __init__(self, graph: TaskGraph, params: SystemParams):
-        self.params = params
+        self.graph, self.params = graph, params
+        self.psi_upper, self.psi_lower, self.iterations = math.inf, 0.0, 0
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
@@ -222,6 +228,11 @@ class PricingCore:
         self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
         n_edges = len(self.edge_keys)
         self.all_edges = np.arange(n_edges)
+
+        self.on_server = np.zeros(size, dtype=bool)
+        self.blacklist = np.zeros(size, dtype=bool)
+        self.schedule = np.zeros(size, dtype=np.int64)
+        self.duals = np.zeros(n_edges)
 
         # The energy terms of the slot table, the ones psi sums, by location:
         # a node's local term when it is on the client, an edge's uplink
@@ -246,22 +257,17 @@ class PricingCore:
         ]
         self.transfer_slots = np.array([[0, z_up], [z_down, 0]], dtype=np.int64)
 
-        edge_index = graph.edge_index
-        node, edge, is_parent = [], [], []
-        for v in self.interior.tolist():
-            for p in graph.parents[v]:
-                node.append(v)
-                edge.append(edge_index[(p, v)])
-                is_parent.append(True)
-            for c in graph.children[v]:
-                node.append(v)
-                edge.append(edge_index[(v, c)])
-                is_parent.append(False)
-        self.inc_node = inc_node = np.array(node, dtype=np.int64)
-        self.inc_parent = up = np.array(is_parent, dtype=bool)
-        inc_edge = np.array(edge, dtype=np.int64)
-        self.inc_other = other = np.where(up, self.src[inc_edge], self.dst[inc_edge])
-        self.all_rows = np.arange(len(node))
+        # Entry e of the ends is edge e as a parent row of its dst, entry
+        # n_edges + e the same edge as a child row of its src.
+        ends = np.concatenate([self.dst, self.src])
+        others = np.concatenate([self.src, self.dst])
+        order = np.lexsort((others, np.arange(2 * n_edges) >= n_edges, ends))
+        self.inc_node = inc_node = ends[order]
+        self.inc_other = other = others[order]
+        self.inc_parent = up = order < n_edges
+        self.inc_edge = inc_edge = np.where(up, order, order - n_edges)
+        self.ptr = np.searchsorted(inc_node, np.arange(size + 1))
+        self.all_rows = np.arange(len(order))
         self.par_rows, self.chi_rows = np.flatnonzero(up), np.flatnonzero(~up)
         self.par_node, self.par_edge = inc_node[self.par_rows], inc_edge[self.par_rows]
         self.chi_node, self.chi_edge = inc_node[self.chi_rows], inc_edge[self.chi_rows]
@@ -275,7 +281,7 @@ class PricingCore:
         # adds: the edge's, when the other node is on the client.
         self.row_head = np.where(up, -self.exec_slots[1, inc_node], self.exec_slots[:, other])
         self.row_shift = np.where(up, [[z_up], [0]], [[-z_down], [0]])
-        self.row_energy = np.zeros((2, len(node)))
+        self.row_energy = np.zeros((2, len(order)))
         self.row_energy[0] = np.where(up, self.up_energy[0, 1, inc_edge], self.down_energy[1, 0, inc_edge])
         self.t_floor = np.maximum(self.exec_slots[1], 1)
 
@@ -285,40 +291,28 @@ class PricingCore:
         self.t_min = self.t_floor.copy()
         self.t_max = np.full(size, params.deadline_slots, dtype=np.int64)
         self.tr = np.zeros(size)
-        self.offset_base = np.zeros(len(node), dtype=np.int64)
+        self.offset_base = np.zeros(len(order), dtype=np.int64)
 
-    @functools.cached_property
-    def _adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(edge_ptr, node_edges, neighbours, row_ptr), built on the first move.
+    def location(self, node: int) -> str:
+        return SERVER if self.on_server[node] else CLIENT
 
-        node_edges[edge_ptr[v]:edge_ptr[v + 1]] are the edges at v and
-        neighbours[...] the nodes at their other ends; row_ptr[v]:row_ptr[v + 1]
-        are v's incidence rows, which are grouped by ascending node id.
-        """
-        n_edges = len(self.edge_keys)
-        ends = np.concatenate([self.src, self.dst])
-        order = np.argsort(ends, kind="stable")
-        grid = np.arange(self.size + 1)
-        return (
-            np.searchsorted(ends[order], grid),
-            order % max(n_edges, 1),
-            np.concatenate([self.dst, self.src])[order],
-            np.searchsorted(self.inc_node, grid),
+    def decision(self) -> OffloadDecision:
+        server = self.on_server[self.ids].tolist()
+        return OffloadDecision(
+            location={n: SERVER if s else CLIENT for n, s in zip(self.node_ids, server)},
+            slot=dict(zip(self.node_ids, self.schedule[self.ids].tolist())),
         )
 
     def edges_at(self, moved: int | None) -> np.ndarray:
         """The edges a move of `moved` changes: its own, or all for None."""
         if moved is None:
             return self.all_edges
-        edge_ptr, node_edges, _, _ = self._adjacency
-        return node_edges[edge_ptr[moved]:edge_ptr[moved + 1]]
+        return self.inc_edge[self.ptr[moved]:self.ptr[moved + 1]]
 
     def _nodes(self, moved: int | None) -> np.ndarray:
         return self.ids if moved is None else np.array([moved])
 
-    def master_check(
-        self, on_server: np.ndarray, sched: np.ndarray, moved: int | None = None
-    ) -> np.ndarray | None:
+    def master_check(self, moved: int | None = None) -> np.ndarray | None:
         """Each edge's margin when the schedule passes the master check, else None.
 
         The margin is the slots of an edge's gap beyond its transfer and its
@@ -328,6 +322,7 @@ class PricingCore:
         `moved` named, only its slot and edges are checked: the rest passed
         the previous check unchanged.
         """
+        on_server, sched = self.on_server, self.schedule
         loc = on_server.view(np.uint8)
         edges = self.edges_at(moved)
         src, dst = self.src[edges], self.dst[edges]
@@ -348,13 +343,13 @@ class PricingCore:
         )
         return self.margin if feasible else None
 
-    def psi(self, on_server: np.ndarray, moved: int | None = None) -> float:
+    def psi(self, moved: int | None = None) -> float:
         """`worst_case_expected_energy(...).psi` of the locations, bit for bit.
 
         Each part is the correctly rounded sum of its terms, as `math.fsum`
         gives it; the parts are added in the same order.
         """
-        loc = on_server.view(np.uint8)
+        loc = self.on_server.view(np.uint8)
         nodes, edges = self._nodes(moved), self.edges_at(moved)
         s, d = loc[self.src[edges]], loc[self.dst[edges]]
         self.local.update(nodes, self.local_energy[loc[nodes], nodes])
@@ -362,25 +357,25 @@ class PricingCore:
         self.down.update(edges, self.down_energy[s, d, edges])
         return self.local.value() + self.up.value() + self.down.value()
 
-    def refresh(self, on_server: np.ndarray, sched: np.ndarray, moved: int | None = None) -> None:
-        """Bring each candidate's window, transfer energy and offsets up to date.
+    def refresh(self, moved: int | None = None) -> None:
+        """Bring each node's window, transfer energy and offsets up to date.
 
-        A candidate's rows read only its neighbours' locations and slots, so
-        a move of `moved` changes the rows of its neighbours alone.  The
-        window (t_min, t_max) holds every slot that keeps all constraints
-        touching the node satisfied with the rest of the schedule unchanged;
-        t_min > t_max marks an empty window.
+        A node's rows read only its neighbours' locations and slots, so a
+        move of `moved` changes the rows of its neighbours alone.  The window
+        (t_min, t_max) holds every slot that keeps all constraints touching
+        the node satisfied with the rest of the schedule unchanged; t_min >
+        t_max marks an empty window.
         """
         if moved is None:
             nodes, rows = self.ids, self.all_rows
         else:
-            edge_ptr, _, neighbours, row_ptr = self._adjacency
-            nodes = neighbours[edge_ptr[moved]:edge_ptr[moved + 1]]
-            spans = zip(row_ptr[nodes].tolist(), row_ptr[nodes + 1].tolist())
-            rows = np.array([r for start, stop in spans for r in range(start, stop)], dtype=np.int64)
+            nodes = self.inc_other[self.ptr[moved]:self.ptr[moved + 1]]
+            # Each neighbour's rows ptr[n]..ptr[n + 1] - 1, one after another.
+            start, count = self.ptr[nodes], self.ptr[nodes + 1] - self.ptr[nodes]
+            rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
         other, node, up = self.inc_other[rows], self.inc_node[rows], self.inc_parent[rows]
-        loc = on_server.view(np.uint8)[other]
-        base = sched[other] - self.row_head[loc, rows]
+        loc = self.on_server.view(np.uint8)[other]
+        base = self.schedule[other] - self.row_head[loc, rows]
         self.offset_base[rows] = base
         bound = base + self.row_shift[loc, rows]
         self.t_min[nodes] = self.t_floor[nodes]
@@ -390,7 +385,7 @@ class PricingCore:
         transfer = np.bincount(node, weights=self.row_energy[loc, rows], minlength=self.size)
         self.tr[nodes] = transfer[nodes]
 
-    def coefficients(self, pi: np.ndarray):
+    def coefficients(self):
         """(tr, ps, po, cs, co) by node id, zeta(t) = `_zeta(tr, ps, po, cs, co, t)`.
 
         tr is the transfer energy the move adds, ps/po the dual sum and
@@ -398,7 +393,7 @@ class PricingCore:
         terms change with every round's normalisation and are summed anew.
         """
         base = self.offset_base
-        price_up, price_down = pi[self.par_edge], pi[self.chi_edge]
+        price_up, price_down = self.duals[self.par_edge], self.duals[self.chi_edge]
         return (
             self.tr,
             np.bincount(self.par_node, weights=price_up, minlength=self.size),
@@ -407,13 +402,13 @@ class PricingCore:
             np.bincount(self.chi_node, weights=price_down * base[self.chi_rows], minlength=self.size),
         )
 
-    def price(self, state: SolverState, nodes, moved: int | None = None) -> PricingTable:
+    def price(self, nodes, moved: int | None = None) -> PricingTable:
         """Best slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
-        self.refresh(state.on_server, state.schedule, moved)
+        self.refresh(moved)
         nodes = np.asarray(nodes, dtype=np.int64)
         nodes = nodes[self.t_min[nodes] <= self.t_max[nodes]]
         lo, hi = self.t_min[nodes], self.t_max[nodes]
-        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients(state.duals))
+        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients())
         slope = cs - ps
         magnitude = np.abs(tr) + np.abs(po) + np.abs(co) + (np.abs(ps) + np.abs(cs)) * hi
         noise = SLOPE_NOISE * magnitude + SLOPE_NOISE_ABS
@@ -449,45 +444,6 @@ class Bounds:
 
 
 @dataclass
-class SolverState:
-    """Mutable solve-loop state: locations, schedule, prices and bounds.
-
-    `on_server`, `blacklist` (boolean masks) and `schedule` (completion
-    slots) are indexed by node id, `duals` by edge in `graph.edges` order.
-    A new state is all-local at slot 0 with zero prices.
-    """
-
-    graph: TaskGraph
-    params: SystemParams
-    psi_upper: float = math.inf
-    psi_lower: float = 0.0
-    iterations: int = 0
-    core: PricingCore = field(init=False, repr=False, compare=False)
-    on_server: np.ndarray = field(init=False, repr=False, compare=False)
-    blacklist: np.ndarray = field(init=False, repr=False, compare=False)
-    schedule: np.ndarray = field(init=False, repr=False, compare=False)
-    duals: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.core = core = PricingCore(self.graph, self.params)
-        self.on_server = np.zeros(core.size, dtype=bool)
-        self.blacklist = np.zeros(core.size, dtype=bool)
-        self.schedule = np.zeros(core.size, dtype=np.int64)
-        self.duals = np.zeros(len(core.edge_keys))
-
-    def location(self, node: int) -> str:
-        return SERVER if self.on_server[node] else CLIENT
-
-    def decision(self) -> OffloadDecision:
-        ids = self.core.ids
-        server = self.on_server[ids].tolist()
-        return OffloadDecision(
-            location={n: SERVER if s else CLIENT for n, s in zip(self.core.node_ids, server)},
-            slot=dict(zip(self.core.node_ids, self.schedule[ids].tolist())),
-        )
-
-
-@dataclass
 class SolveResult:
     decision: OffloadDecision
     report: EnergyReport
@@ -520,24 +476,23 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
                 f"({max(local.slots.values())} > {params.deadline_slots} slots)"
             )
         schedule = local.slots
-    state = SolverState(graph=graph, params=params)
+    state = SolverState(graph, params)
     # Every slot is within the deadline, so it fits in int64.
     state.schedule[list(schedule)] = list(schedule.values())
-    state.psi_upper = state.core.psi(state.on_server)
-    state.psi_lower = 0.0
+    state.psi_upper = state.psi()
     return state
 
 
-def tightness_duals(core: PricingCore, moved: int | None = None) -> np.ndarray:
+def tightness_duals(state: SolverState, moved: int | None = None) -> np.ndarray:
     """Prices 1/(1 + slack) per dependency edge, normalized to sum 1.
 
     The slacks are the margins of the last master check, which passed; only
     the weights of the edges at `moved` (all for None) are recomputed.  The
     sum is exact, so it is the `math.fsum` of the weights.
     """
-    edges = core.edges_at(moved)
-    core.weight.update(edges, 1.0 / (1.0 + core.margin[edges]))
-    return core.weight.terms / core.weight.value()
+    edges = state.edges_at(moved)
+    state.weight.update(edges, 1.0 / (1.0 + state.margin[edges]))
+    return state.weight.terms / state.weight.value()
 
 
 def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.ndarray, np.ndarray]:
@@ -551,11 +506,10 @@ def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.n
     slot changed since the previous call; the rows it does not reach must
     have passed the last check that passed.  None rechecks everything.
     """
-    core = state.core
-    if core.master_check(state.on_server, state.schedule, moved) is None:
+    if state.master_check(moved) is None:
         raise RmpInfeasible("the schedule violates a master constraint")
-    state.psi_upper = core.psi(state.on_server, moved)
-    state.duals = tightness_duals(core, moved)
+    state.psi_upper = state.psi(moved)
+    state.duals = tightness_duals(state, moved)
     return state.psi_upper, state.duals, state.schedule
 
 
@@ -563,9 +517,8 @@ def reduced_cost(node: int, slot: int, state: SolverState) -> float:
     """zeta for moving `node` to the server, completing at `slot`."""
     if state.on_server[node] or node in (1, state.graph.n_nodes):
         raise ValueError(f"node {node} is not a pricing candidate")
-    state.core.refresh(state.on_server, state.schedule)
-    coef = state.core.coefficients(state.duals)
-    return float(_zeta(*(c[node] for c in coef), float(slot)))
+    state.refresh()
+    return float(_zeta(*(c[node] for c in state.coefficients()), float(slot)))
 
 
 def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
@@ -573,8 +526,8 @@ def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
 
     `moved` names the one node moved since the previous call (None: any).
     """
-    interior = state.core.interior
-    return state.core.price(state, interior[~state.on_server[interior]], moved)
+    interior = state.interior
+    return state.price(interior[~state.on_server[interior]], moved)
 
 
 def delta_psi(node: int, state: SolverState) -> float:

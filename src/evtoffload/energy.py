@@ -270,9 +270,6 @@ class Violation:
     subject: tuple
     detail: str
 
-    def key(self) -> tuple:
-        return (self.kind, self.subject)
-
 
 def check_constraints(
     graph: TaskGraph, decision: OffloadDecision, params: SystemParams

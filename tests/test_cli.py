@@ -200,6 +200,24 @@ def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
     assert "theta_up" in err and "xi = 1.2" in err
 
 
+def test_fit_without_traces_or_paper_defaults_fails(tmp_path, capsys):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "error: fit needs --traces or --paper-defaults" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--eps-m-up", "--eps-m-down"])
+@pytest.mark.parametrize("value", ["7", "0", "1", "-0.1"])
+def test_fit_rejects_eps_m_outside_unit_interval(tmp_path, capsys, flag, value):
+    # The config would be refused by every later command, so none is written.
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--paper-defaults", flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    name = flag[2:].replace("-", "_")
+    assert f"error: {name} must lie in (0, 1)" in capsys.readouterr().err
+
+
 def test_fit_block_size_too_large_fails(tmp_path):
     trace = tmp_path / "trace.csv"
     _write_trace_csv(trace, n_rows=50)

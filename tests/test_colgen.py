@@ -41,12 +41,12 @@ def _hand_state(graph, params, schedule, duals, server=()):
 
 def _set_duals(state, duals):
     """Price the edges named in `duals`, every other edge at 0."""
-    state.duals = np.array([duals.get(key, 0.0) for key in state.core.edge_keys])
+    state.duals = np.array([duals.get(key, 0.0) for key in state.edge_keys])
 
 
 def _priced(node, state):
     """(t_min, t_max, slot, zeta) of `node` priced alone; None for an empty window."""
-    table = state.core.price(state, [node])
+    table = state.price([node])
     if not table.node.size:
         return None
     return int(table.t_min[0]), int(table.t_max[0]), int(table.slot[0]), float(table.zeta[0])
@@ -118,7 +118,7 @@ def test_solve_rmp_base_state():
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
     psi_u, prices, schedule = solve_rmp(state)
-    duals = dict(zip(state.core.edge_keys, prices.tolist()))
+    duals = dict(zip(state.edge_keys, prices.tolist()))
     assert psi_u == worst_case_expected_energy(graph, state.decision(), params).psi
     assert set(duals) == {(1, 2), (2, 3)}
     assert all(np.isfinite(v) and v >= 0 for v in duals.values())

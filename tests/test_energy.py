@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evtoffload import mincut
-from evtoffload.colgen import PricingCore
+from evtoffload.colgen import SolverState
 from evtoffload.energy import (
     CLIENT,
     SERVER,
@@ -94,7 +94,7 @@ def test_slot_table_matches_literal_fraction_ceiling(workloads, f_c, f_s, delta)
 @pytest.mark.parametrize("name", ["kappa", "f_c_hz", "theta_up", "theta_down"])
 def test_table_cache_key_covers_every_energy_field(name):
     """Configs that differ in one energy field get their own psi, min cut and
-    pricing-core psi on one graph: what a graph never evaluated before gives."""
+    solver-state psi on one graph: what a graph never evaluated before gives."""
     graph, params = random_small_instance(0)
     other = params.replace(**{name: getattr(params, name) * 3})
     server = mincut.min_cut(graph, params)[0]
@@ -109,7 +109,9 @@ def test_table_cache_key_covers_every_energy_field(name):
     def values(g, p):
         _, flow, scale = mincut.min_cut(g, p)
         psi = worst_case_expected_energy(g, decision, p).psi
-        return psi, flow / scale, PricingCore(g, p).psi(on_server)
+        state = SolverState(g, p)
+        state.on_server[:] = on_server
+        return psi, flow / scale, state.psi()
 
     warm = [values(graph, p) for p in (params, other)]
     fresh = [values(TaskGraph(graph.modules, graph.edges), p) for p in (params, other)]
@@ -405,7 +407,7 @@ def test_violation_set_matches_replay_oracle(seed):
             location[n] = SERVER
     slots = {n: int(rng.integers(0, 25)) for n in graph.node_ids}
     decision = OffloadDecision(location, slots)
-    got = {v.key() for v in check_constraints(graph, decision, params)}
+    got = {(v.kind, v.subject) for v in check_constraints(graph, decision, params)}
     assert got == _replay_violations(graph, decision, params)
 
 
@@ -423,8 +425,8 @@ def test_tightening_z_never_shrinks_violations(seed):
             location[n] = SERVER
     slots = {n: int(rng.integers(0, 22)) for n in graph.node_ids}
     decision = OffloadDecision(location, slots)
-    before = {v.key() for v in check_constraints(graph, decision, base)}
-    after = {v.key() for v in check_constraints(graph, decision, tight)}
+    before = {(v.kind, v.subject) for v in check_constraints(graph, decision, base)}
+    after = {(v.kind, v.subject) for v in check_constraints(graph, decision, tight)}
     assert before <= after
 
 

@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -38,7 +39,7 @@ import numpy as np
 from evtoffload import colgen, mincut
 from evtoffload.colgen import write_decision_json, write_iteration_log
 from evtoffload.energy import CLIENT, SERVER, InfeasibleError, SystemParams, exec_slots
-from evtoffload.graph import load_graph
+from evtoffload.graph import TaskGraph, load_graph
 from evtoffload.oracle import earliest_completion
 from evtoffload.simulate import DistSpec, LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 
@@ -184,6 +185,29 @@ def test_exports_match_golden_digests():
     assert got.keys() == expected.keys()
     changed = sorted(key for key in expected if got[key] != expected[key])
     assert changed == [], f"{len(changed)} exports changed, first: {changed[:5]}"
+
+
+def test_exports_do_not_depend_on_edge_order():
+    """Shuffling `graph.edges` leaves every export byte-identical.
+
+    The solvers sum each node's terms in `graph.parents` / `graph.children`
+    order, whatever order the edges are listed in.  The golden corpus lists
+    them in canonical order only, so this shuffles them, on the first 400
+    `colgen.solve` inputs and every `mincut.solve` input.
+    """
+    rng = random.Random(20261018)
+    cases = [(colgen.solve, *case) for case in itertools.islice(corpus(), 400)]
+    cases += [(mincut.solve, *case) for case in auto_corpus()]
+    changed = []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        for solver, key, graph, params, eps in cases:
+            edges = list(graph.edges)
+            rng.shuffle(edges)
+            shuffled = TaskGraph(graph.modules, edges)
+            if digest(solver, shuffled, params, eps, work) != digest(solver, graph, params, eps, work):
+                changed.append(key)
+    assert changed == [], f"{len(changed)} of {len(cases)} exports changed, first: {changed[:5]}"
 
 
 def test_auto_slice_reaches_every_exit():

@@ -1,11 +1,11 @@
 """The array master step against the scalar checker and objective.
 
-`PricingCore.master_check` must pass exactly the schedules that
-`check_constraints` finds no violation in, and `PricingCore.psi` must equal
+`SolverState.master_check` must pass exactly the schedules that
+`check_constraints` finds no violation in, and `SolverState.psi` must equal
 `worst_case_expected_energy(...).psi` bit for bit.  The states are random
 DAGs with random locations (the pinned endpoints on the server included),
 random slots (some outside 0..T) and execution and transfer slot counts
-that often exceed T + 1, where `PricingCore` caps them.
+that often exceed T + 1, where `SolverState` caps them.
 """
 from __future__ import annotations
 
@@ -84,7 +84,7 @@ def master_states(draw):
 def test_array_master_matches_scalar_checker(state):
     graph, params = state.graph, state.params
     decision = state.decision()
-    margin = state.core.master_check(state.on_server, state.schedule)
+    margin = state.master_check()
     assert (margin is not None) == (not check_constraints(graph, decision, params))
     if margin is not None:
         # A feasible schedule touches no capped count: each margin is exact.
@@ -107,4 +107,4 @@ def test_array_master_matches_scalar_checker(state):
 @given(master_states())
 def test_array_psi_matches_scalar_objective(state):
     expected = worst_case_expected_energy(state.graph, state.decision(), state.params).psi
-    assert state.core.psi(state.on_server).hex() == expected.hex()
+    assert state.psi().hex() == expected.hex()

@@ -34,7 +34,7 @@ def reference(node, state):
     graph, params = state.graph, state.params
     slots = slot_table(graph, params)
     schedule = state.decision().slot
-    duals = dict(zip(state.core.edge_keys, state.duals.tolist()))
+    duals = dict(zip(state.edge_keys, state.duals.tolist()))
     exec_server = slots.server[node]
     t_min = 0
     for parent in graph.parents[node]:
@@ -114,7 +114,7 @@ def test_batched_pricing_matches_literal_scan(state):
             assert node not in priced
             continue
         expected = reference(node, state)
-        alone = state.core.price(state, [node])
+        alone = state.price([node])
         if expected is None:
             assert node not in priced
             assert alone.node.size == 0
