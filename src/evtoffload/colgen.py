@@ -513,14 +513,6 @@ def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.n
     return state.psi_upper, state.duals, state.schedule
 
 
-def reduced_cost(node: int, slot: int, state: SolverState) -> float:
-    """zeta for moving `node` to the server, completing at `slot`."""
-    if state.on_server[node] or node in (1, state.graph.n_nodes):
-        raise ValueError(f"node {node} is not a pricing candidate")
-    state.refresh()
-    return float(_zeta(*(c[node] for c in state.coefficients()), float(slot)))
-
-
 def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
     """Price every interior client node, blacklisted ones included.
 

@@ -5,6 +5,10 @@ generalized extreme value (GEV) distribution; its upper quantile gives the
 worst-case transfer budget and its mean the worst-case expected energy
 coefficient.  Shape convention: xi > 0 heavy tail (Frechet), xi = 0 Gumbel,
 xi < 0 bounded tail (Weibull).
+
+scipy is imported inside its three users (`gev_mean`, `pwm_start` and
+`fit_gev_mle`), not here: it takes most of the package's import time, and
+only `fit` needs it.
 """
 from __future__ import annotations
 
@@ -15,8 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import gamma as gamma_fn
 
 from .energy import is_finite_number
 
@@ -129,6 +131,8 @@ def gev_quantile(params: GevParams, eps_m: float) -> float:
 
 def gev_mean(params: GevParams) -> float:
     """E[Z]; +inf when xi >= 1 (the heavy-tail mean diverges)."""
+    from scipy.special import gamma as gamma_fn
+
     mu, sigma, xi = params.mu, params.sigma, params.xi
     if xi >= 1.0:
         return math.inf
@@ -172,6 +176,8 @@ def gev_neg_log_likelihood(theta, maxima: np.ndarray) -> float:
 
 def pwm_start(maxima: np.ndarray) -> tuple[float, float, float]:
     """Probability-weighted-moment estimates (Hosking), used to seed the MLE."""
+    from scipy.special import gamma as gamma_fn
+
     x = np.sort(np.asarray(maxima, dtype=float))
     n = len(x)
     j = np.arange(1, n + 1)
@@ -208,6 +214,8 @@ def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
     FitConvergenceError (carrying the best point) if the simplex search
     does not converge within max_iter iterations.
     """
+    from scipy.optimize import minimize
+
     x = np.asarray(maxima.maxima, dtype=float)
     if len(x) < 10:
         raise ValueError(f"need at least 10 block maxima, got {len(x)}")

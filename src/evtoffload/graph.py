@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import heapq
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -119,6 +120,10 @@ class TaskGraph:
             raise GraphError(f"cycle detected through edge {u}->{v}")
         return tuple(order)
 
+    @functools.cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(_find_violations(self))
+
     def interior_ids(self) -> list[int]:
         n = self.n_nodes
         return [i for i in self.node_ids if 1 < i < n]
@@ -129,7 +134,12 @@ def validate_graph(graph: TaskGraph) -> list[str]:
 
     An empty list means the graph is valid.  Violations are reported as
     data rather than raised, so callers can collect and display all of them.
+    The check runs once per graph; later calls return a copy of its findings.
     """
+    return list(graph._violations)
+
+
+def _find_violations(graph: TaskGraph) -> list[str]:
     violations: list[str] = []
     ids = [m.id for m in graph.modules]
     n = len(ids)
@@ -266,5 +276,43 @@ def save_graph(graph: TaskGraph, path: str | Path) -> None:
 
 def write_json(path: str | Path, data) -> None:
     """Write `data` as every JSON file of the package is written: sorted keys,
-    a two-space indent and a final newline."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    a two-space indent and a final newline.
+
+    The bytes are those of `json.dumps(data, indent=2, sort_keys=True)`.  An
+    indent sends `json` to its pure-Python encoder, so the layout is made
+    here and the values are encoded by the C encoder.  Keys must be strings.
+    """
+    Path(path).write_text(_indented(data, 0) + "\n")
+
+
+def _indented(value, depth: int) -> str:
+    """`value` laid out as `json.dumps(..., indent=2, sort_keys=True)` lays
+    it out `depth` levels deep."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [json.dumps(key) + ": " + _indented(value[key], depth + 1) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        if _are_flat_dicts(value):
+            # One C call for the whole list (the `nodes` and `edges` lists):
+            # its item separator already carries the dicts' key indent.
+            # Encoded JSON has a raw newline only inside a separator, and a
+            # scalar never ends in "}", so "},<newline>" ends a dict.
+            deeper = inner + "  "
+            text = json.dumps(value, sort_keys=True, separators=("," + deeper, ": "))
+            body = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            return "[" + inner + "{" + deeper + body + inner + "}" + pad + "]"
+        items = [_indented(item, depth + 1) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
+def _are_flat_dicts(items) -> bool:
+    """Whether every item is a nonempty dict whose values are all scalars."""
+    # map() keeps the per-value work in C: a generator here costs as much
+    # as the encoding it serves.
+    if set(map(type, items)) != {dict} or not all(items):
+        return False
+    kinds = set(map(type, itertools.chain.from_iterable(map(dict.values, items))))
+    return not any(issubclass(kind, (dict, list, tuple)) for kind in kinds)

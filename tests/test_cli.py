@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +184,56 @@ def test_fit_on_synthetic_traces(tmp_path):
     assert data["block_size_k"] == 20
 
 
+def _fresh_python(code: str) -> str:
+    """Stdout of `code` run by a fresh interpreter that imports this evtoffload."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_commands_other_than_fitting_never_load_scipy(tmp_path):
+    config, dag, decision = str(_toy_config(tmp_path)), _gen_dag(tmp_path), tmp_path / "decision.json"
+    assert main(["--config", config, "solve", "--dag", str(dag), "--out", str(decision)]) == 0
+    model = _write_model(tmp_path)
+    gev = tmp_path / "gev.json"
+    gev.write_text(json.dumps({"v_up": _GEV, "v_down": _GEV}))
+    out = str(tmp_path / "out.json")
+    commands = [
+        ["gen", "--nodes", "6", "--out", out],
+        ["fit", "--paper-defaults", "--out", out],
+        ["solve", "--dag", str(dag), "--out", out],
+        ["solve", "--policy", "auto", "--dag", str(dag), "--out", out],
+        ["oracle", "--dag", str(dag), "--out", out],
+        ["simulate", "--dag", str(dag), "--decision", str(decision), "--model", str(model),
+         "--replications", "20", "--out", out],
+        ["compare", "--dag", str(dag), "--gev", str(gev), "--eps-grid", "0.1",
+         "--eps-m-grid", "0.1", "--out", out],
+    ]
+    code = (
+        "import sys, evtoffload, evtoffload.cli; "
+        f"codes = [evtoffload.cli.main(['--config', {config!r}] + c) for c in {commands!r}]; "
+        "print(codes, 'scipy' in sys.modules)"
+    )
+    assert _fresh_python(code) == f"{[0] * len(commands)} False"
+
+
+def test_fit_on_traces_loads_scipy_and_matches_an_in_process_fit(tmp_path):
+    trace = tmp_path / "trace.csv"
+    _write_trace_csv(trace)
+    args = ["fit", "--traces", str(trace), "--k", "20", "--payload-bits", "10000"]
+    fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+    code = (
+        "import sys; from evtoffload import cli; before = 'scipy' in sys.modules; "
+        f"print(before, cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules)"
+    )
+    assert _fresh_python(code) == "False 0 True"
+    assert main(args + ["--out", str(here)]) == 0
+    assert fresh.read_bytes() == here.read_bytes()
+
+
 def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
     # A fitted xi >= 1 has no finite mean: fit must fail before writing.
     trace = tmp_path / "trace.csv"
@@ -225,11 +278,7 @@ def test_fit_block_size_too_large_fails(tmp_path):
     assert main(["fit", "--traces", str(trace), "--k", "100", "--out", str(out)]) == 2
 
 
-def test_simulate_roundtrip(tmp_path):
-    config = _toy_config(tmp_path)
-    dag = _gen_dag(tmp_path)
-    decision = tmp_path / "decision.json"
-    main(["--config", str(config), "solve", "--dag", str(dag), "--out", str(decision)])
+def _write_model(tmp_path) -> Path:
     model = tmp_path / "model.json"
     const = {"family": "uniform", "params": {"low": 1e6, "high": 1e6}}
     model.write_text(
@@ -245,6 +294,15 @@ def test_simulate_roundtrip(tmp_path):
             }
         )
     )
+    return model
+
+
+def test_simulate_roundtrip(tmp_path):
+    config = _toy_config(tmp_path)
+    dag = _gen_dag(tmp_path)
+    decision = tmp_path / "decision.json"
+    main(["--config", str(config), "solve", "--dag", str(dag), "--out", str(decision)])
+    model = _write_model(tmp_path)
     report = tmp_path / "report.json"
     code = main(
         [

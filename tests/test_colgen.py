@@ -8,10 +8,10 @@ from evtoffload.colgen import (
     RmpInfeasible,
     SolverState,
     _price_all,
+    _zeta,
     attribution_lower_bound,
     delta_psi,
     initial_rmp,
-    reduced_cost,
     solve,
     solve_rmp,
 )
@@ -143,6 +143,14 @@ def test_heuristic_duals_normalized():
 
 
 # --- reduced cost ------------------------------------------------------------
+
+def reduced_cost(node, slot, state):
+    """zeta for moving `node` to the server, completing at `slot`."""
+    if state.on_server[node] or node in (1, state.graph.n_nodes):
+        raise ValueError(f"node {node} is not a pricing candidate")
+    state.refresh()
+    return float(_zeta(*(c[node] for c in state.coefficients()), float(slot)))
+
 
 def test_reduced_cost_hand_arithmetic():
     graph = chain_graph([2, 4, 2], [10, 20])

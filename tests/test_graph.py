@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from evtoffload import colgen, graph as graph_module, mincut
+from evtoffload.energy import SystemParams
 from evtoffload.graph import (
     DataEdge,
     GraphError,
@@ -15,6 +19,7 @@ from evtoffload.graph import (
     save_graph,
     topological_order,
     validate_graph,
+    write_json,
 )
 from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
 
@@ -132,6 +137,44 @@ def test_invalid_graph_raises_on_load(tmp_path):
     )
     with pytest.raises(GraphValidationError):
         load_graph(path)
+
+
+def test_a_graph_is_validated_once(monkeypatch):
+    calls = []
+    find = graph_module._find_violations
+    monkeypatch.setattr(graph_module, "_find_violations", lambda g: calls.append(g) or find(g))
+    graph = load_graph(INSTANCE_DIR / "smart_diagnosis.json")
+    colgen.solve(graph, SystemParams())
+    mincut.solve(graph, SystemParams())
+    assert calls == [graph]
+
+
+def test_validate_graph_returns_a_fresh_list_each_call():
+    graph = TaskGraph([TaskModule(1, 0), TaskModule(2, 0)], [DataEdge(2, 1, 1)])
+    first = validate_graph(graph)
+    assert first == ["node 1 must have no parents", "node 2 must have no children"]
+    first.clear()
+    assert validate_graph(graph) == ["node 1 must have no parents", "node 2 must have no children"]
+
+
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+_FLAT_DICT_LISTS = st.lists(st.dictionaries(st.text(max_size=4), _SCALARS, min_size=1), min_size=1)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    st.recursive(
+        _SCALARS | _FLAT_DICT_LISTS,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | _FLAT_DICT_LISTS,
+        max_leaves=20,
+    )
+)
+def test_write_json_matches_the_indenting_encoder(tmp_path, data):
+    path = tmp_path / "data.json"
+    write_json(path, data)
+    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 def test_save_load_roundtrip(tmp_path):
