@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evtoffload import colgen, graph as graph_module, mincut
@@ -158,7 +158,9 @@ def test_validate_graph_returns_a_fresh_list_each_call():
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-_FLAT_DICT_LISTS = st.lists(st.dictionaries(st.text(max_size=4), _SCALARS, min_size=1), min_size=1)
+# Lists of dicts of scalars, the layout `write_json` encodes in one call; some
+# hold an empty dict, which it must not.
+_FLAT_DICT_LISTS = st.lists(st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3), min_size=1)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -166,11 +168,15 @@ _FLAT_DICT_LISTS = st.lists(st.dictionaries(st.text(max_size=4), _SCALARS, min_s
     st.recursive(
         _SCALARS | _FLAT_DICT_LISTS,
         lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=4), inner, max_size=4)
         | _FLAT_DICT_LISTS,
         max_leaves=20,
     )
 )
+@example(data=[{"a": 1}, {}])
+@example(data=[{"a": (1, 2)}])
+@example(data={"nodes": [{"id": 1, "location": "client", "slot": 2}], "psi": 0.5})
 def test_write_json_matches_the_indenting_encoder(tmp_path, data):
     path = tmp_path / "data.json"
     write_json(path, data)
