@@ -27,7 +27,7 @@ from .gev import (
     load_trace_samples,
     GevParams,
 )
-from .graph import GraphError, load_graph, save_graph, write_json
+from .graph import GraphError, is_int, load_graph, save_graph, write_json
 from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
 
@@ -38,11 +38,15 @@ def _load_params(args) -> SystemParams:
 def _decision_from_file(path: str) -> OffloadDecision:
     data = json.loads(Path(path).read_text())
     try:
-        location = {int(item["id"]): item["location"] for item in data["nodes"]}
-        slot = {int(item["id"]): int(item["slot"]) for item in data["nodes"]}
+        nodes = [(item["id"], item["location"], item["slot"]) for item in data["nodes"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"decision {path}: every node needs an id, a location and a slot") from exc
-    return OffloadDecision(location=location, slot=slot)
+    for node, _, slot in nodes:
+        if not (is_int(node) and is_int(slot)):
+            raise ValueError(f"decision {path}: node ids and slots must be integers, got {node!r}, {slot!r}")
+    return OffloadDecision(
+        location={node: where for node, where, _ in nodes}, slot={node: slot for node, _, slot in nodes}
+    )
 
 
 def cmd_fit(args) -> int:

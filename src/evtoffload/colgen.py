@@ -1,23 +1,24 @@
 """Column-generation solver for the offloading problem.
 
-The restricted master fixes execution locations and is a pure feasibility
-check, so upper bounds come from re-evaluating the energy objective.  The
-schedule starts from the serial all-local assignment (the all-local
-earliest-completion one when the serial one misses the deadline) and is
-updated incrementally: an admitted column places its node at the
-completion slot chosen by pricing and leaves every other slot untouched,
-which is what preserves the slack the pricing windows need.
+The restricted master fixes execution locations and completion slots, so
+upper bounds come from re-evaluating the energy objective.  The schedule
+starts from the serial all-local assignment (the all-local
+earliest-completion one when the serial one misses the deadline), which is
+feasible by construction, and is updated incrementally: an admitted column
+places its node at the completion slot chosen by pricing and leaves every
+other slot untouched, which is what preserves the slack the pricing windows
+need.
 
 One object, `SolverState`, holds a solve: an on-server mask, the schedule
 and the blacklist, indexed by node id, the dual price of each edge, the
 bounds, and the edge and round arrays derived from them.  It becomes an
 `OffloadDecision` once, at exit, where the scalar `check_constraints` and
-`worst_case_expected_energy` guard the returned decision.  In each master
-step every edge's margin - its slots beyond its transfer and its head's
-execution - decides feasibility together with the deadline, slot-range,
-endpoint and source-execution tests, and psi is the correctly rounded sum
-of the `slot_table` energy terms under the location mask, bit for bit the
-value `worst_case_expected_energy` gives from the same terms.
+`worst_case_expected_energy` guard the returned decision; that is the one
+feasibility check of a solve.  Each master step brings up to date every
+edge's margin - its slots beyond its transfer and its head's execution -
+and psi, the correctly rounded sum of the `slot_table` energy terms under the
+location mask, bit for bit the value `worst_case_expected_energy` gives
+from the same terms.
 
 Rounds are incremental.  An admission moves one node v, which changes
 only the margins and dual weights of v's edges, v's psi terms, and the
@@ -33,9 +34,8 @@ in full every round.
 
 Dual prices are tightness weights: each dependency edge is priced
 1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
-only ever priced after its feasibility check has passed, and the exact LP
-duals of a feasible master are all zero, so these weights are what steers
-pricing.
+always feasible, and the exact LP duals of a feasible master are all zero,
+so these weights are what steers pricing.
 
 Pricing follows the reduced-cost form
 
@@ -55,7 +55,7 @@ slot by slot, which gives exactly the slot and value a full scan gives
 the energy objective; otherwise it is blacklisted for later rounds.  The
 admitted slot lies in the node's window, which keeps every edge at the node,
 the slot range and source execution satisfied, and no other row moves, so
-the master check after an admission always passes.
+every schedule the loop holds is feasible and no round re-checks it.
 
 Bound bookkeeping: the log's r_underbar is the pricing value of each
 round, but psi_lower is held at a provable combinatorial floor on psi (see
@@ -106,10 +106,6 @@ EXIT_PRICING_NONNEG = "pricing_nonneg"
 EXIT_RATIO = "ratio"
 
 
-class RmpInfeasible(Exception):
-    """The current schedule violates the master constraints."""
-
-
 @dataclass
 class PricedColumn:
     node: int
@@ -147,18 +143,18 @@ _SUM_SHIFT = 1074
 
 
 class ExactSum:
-    """An array of float terms and their sum, kept exactly.
+    """An array of finite float terms and their sum, kept exactly.
 
     The sum is held as an integer number of 2**-1074 units and `value`
     rounds it once, so it reads the correctly rounded sum `math.fsum` gives
-    for the same terms, whatever the order of the updates.  Non-finite
-    terms are counted apart; the terms summed here are never negative, so
-    the special results are nan and +inf.
+    for the same terms, whatever the order of the updates.  The terms summed
+    here are finite and their total is too: `slot_table` rejects energy
+    terms whose total is not.
     """
 
     def __init__(self, size: int):
         self.terms = np.zeros(size)
-        self.scaled = self.inf = self.nan = 0
+        self.scaled = 0
 
     def update(self, rows, new: np.ndarray) -> None:
         """Set `terms[rows] = new`; the sum follows the terms that change."""
@@ -172,20 +168,11 @@ class ExactSum:
     def _add(self, terms, sign: int) -> None:
         scaled = 0
         for term in filter(None, terms):  # zeros add nothing
-            if math.isfinite(term):
-                n, d = term.as_integer_ratio()
-                scaled += n << (_SUM_SHIFT + 1 - d.bit_length())
-            elif term != term:
-                self.nan += sign
-            else:
-                self.inf += sign
+            n, d = term.as_integer_ratio()
+            scaled += n << (_SUM_SHIFT + 1 - d.bit_length())
         self.scaled += sign * scaled
 
     def value(self) -> float:
-        if self.nan:
-            return math.nan
-        if self.inf:
-            return math.inf
         return self.scaled / (1 << _SUM_SHIFT)
 
 
@@ -220,9 +207,7 @@ class SolverState:
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
-        self.last = graph.n_nodes
         self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
-        self.sources = np.array([n for n in ids if not graph.parents[n]], dtype=np.int64)
         self.edge_keys = [(e.src, e.dst) for e in graph.edges]
         self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
         self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
@@ -309,39 +294,21 @@ class SolverState:
             return self.all_edges
         return self.inc_edge[self.ptr[moved]:self.ptr[moved + 1]]
 
-    def _nodes(self, moved: int | None) -> np.ndarray:
-        return self.ids if moved is None else np.array([moved])
+    def update_margins(self, moved: int | None = None) -> None:
+        """Bring the margins of the edges at `moved` (all for None) up to date.
 
-    def master_check(self, moved: int | None = None) -> np.ndarray | None:
-        """Each edge's margin when the schedule passes the master check, else None.
-
-        The margin is the slots of an edge's gap beyond its transfer and its
-        head's execution.  The check is `check_constraints(...) == []`: every
-        margin >= 0, the endpoints on the client, every slot in 0..T (which
-        holds the deadline on node N) and every source done executing.  With
-        `moved` named, only its slot and edges are checked: the rest passed
-        the previous check unchanged.
+        An edge's margin is the slots of its gap beyond its transfer and its
+        head's execution; on a schedule `check_constraints` passes, every
+        margin is >= 0 and is that edge's slack.
         """
-        on_server, sched = self.on_server, self.schedule
-        loc = on_server.view(np.uint8)
+        loc, sched = self.on_server.view(np.uint8), self.schedule
         edges = self.edges_at(moved)
         src, dst = self.src[edges], self.dst[edges]
         to = loc[dst]
-        margin = (
+        self.margin[edges] = (
             sched[dst] - sched[src]
             - self.transfer_slots[loc[src], to] - self.exec_slots[to, dst]
         )
-        self.margin[edges] = margin
-        slots = sched[self._nodes(moved)].tolist()
-        sources = self.sources
-        feasible = (
-            not (on_server[1] or on_server[self.last])
-            and 0 <= min(slots)
-            and max(slots) <= self.params.deadline_slots
-            and min(margin.tolist(), default=0) >= 0
-            and (sched[sources] >= self.exec_slots[loc[sources], sources]).all()
-        )
-        return self.margin if feasible else None
 
     def psi(self, moved: int | None = None) -> float:
         """`worst_case_expected_energy(...).psi` of the locations, bit for bit.
@@ -350,7 +317,8 @@ class SolverState:
         gives it; the parts are added in the same order.
         """
         loc = self.on_server.view(np.uint8)
-        nodes, edges = self._nodes(moved), self.edges_at(moved)
+        nodes = self.ids if moved is None else np.array([moved])
+        edges = self.edges_at(moved)
         s, d = loc[self.src[edges]], loc[self.dst[edges]]
         self.local.update(nodes, self.local_energy[loc[nodes], nodes])
         self.up.update(edges, self.up_energy[s, d, edges])
@@ -486,9 +454,9 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
 def tightness_duals(state: SolverState, moved: int | None = None) -> np.ndarray:
     """Prices 1/(1 + slack) per dependency edge, normalized to sum 1.
 
-    The slacks are the margins of the last master check, which passed; only
-    the weights of the edges at `moved` (all for None) are recomputed.  The
-    sum is exact, so it is the `math.fsum` of the weights.
+    The slacks are the margins of the last master step; only the weights of
+    the edges at `moved` (all for None) are recomputed.  The sum is exact,
+    so it is the `math.fsum` of the weights.
     """
     edges = state.edges_at(moved)
     state.weight.update(edges, 1.0 / (1.0 + state.margin[edges]))
@@ -496,18 +464,13 @@ def tightness_duals(state: SolverState, moved: int | None = None) -> np.ndarray:
 
 
 def solve_rmp(state: SolverState, moved: int | None = None) -> tuple[float, np.ndarray, np.ndarray]:
-    """Feasibility-check the current schedule; refresh the bound and duals.
+    """Master step on a feasible schedule: refresh the margins, bound and duals.
 
-    Returns (psi_upper, duals, schedule).  Raises RmpInfeasible when the
-    schedule violates any master constraint; the solve loop only admits
-    slots of a priced window, so there this is a structural guard.  On a
-    feasible schedule every edge margin is its slack, so the check and the
-    duals share one pass.  `moved` names the one node whose location or
-    slot changed since the previous call; the rows it does not reach must
-    have passed the last check that passed.  None rechecks everything.
+    Returns (psi_upper, duals, schedule).  `moved` names the one node whose
+    location or slot changed since the previous call; only the rows it
+    reaches are recomputed.  None recomputes everything.
     """
-    if state.master_check(moved) is None:
-        raise RmpInfeasible("the schedule violates a master constraint")
+    state.update_margins(moved)
     state.psi_upper = state.psi(moved)
     state.duals = tightness_duals(state, moved)
     return state.psi_upper, state.duals, state.schedule
@@ -575,7 +538,7 @@ def checked_epsilon(graph: TaskGraph, params: SystemParams, epsilon: float | Non
 def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
     """Run the epsilon-bounded column-generation loop.
 
-    Each round: check the master and refresh bound + duals, price one
+    Each round: refresh the master's margins, bound and duals, price one
     column, update the bound pair, test the three exit conditions, then
     either admit the column at its chosen slot or blacklist it.  At most
     N - 2 admissions can ever happen, so the loop terminates.
@@ -651,8 +614,8 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
     )
 
 
-def decision_export_dict(result: SolveResult, extra: dict | None = None) -> dict:
-    data = {
+def decision_export_dict(result: SolveResult) -> dict:
+    return {
         "psi": result.report.psi,
         "psi_lower": result.bounds.psi_lower,
         "psi_upper": result.bounds.psi_upper,
@@ -662,13 +625,10 @@ def decision_export_dict(result: SolveResult, extra: dict | None = None) -> dict
         "optimal_certified": result.optimal_certified,
         "nodes": result.decision.export_nodes(),
     }
-    if extra:
-        data.update(extra)
-    return data
 
 
-def write_decision_json(path: str | Path, result: SolveResult, extra: dict | None = None) -> None:
-    write_json(path, decision_export_dict(result, extra))
+def write_decision_json(path: str | Path, result: SolveResult) -> None:
+    write_json(path, decision_export_dict(result))
 
 
 def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:

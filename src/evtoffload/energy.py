@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,16 +49,13 @@ class SystemParams:
     theta_up: float = 4.81e-4
     theta_down: float = 1.11e-5
     epsilon: float = 0.03
-    seed: int = 12345
-    block_size_k: int = 1500
 
     def __post_init__(self):
         for name in _FLOAT_FIELDS:
             value = getattr(self, name)
             if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
-        for name in _INT_FIELDS:
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
+        object.__setattr__(self, "deadline_slots", as_integer("deadline_slots", self.deadline_slots))
         positive = {
             "f_c_hz": self.f_c_hz,
             "f_s_hz": self.f_s_hz,
@@ -79,8 +76,6 @@ class SystemParams:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.block_size_k < 1:
-            raise ValueError(f"block_size_k must be >= 1, got {self.block_size_k}")
         # Converted once: the exact rational ceilings are too slow to redo on
         # every access from the solver's hot loops.
         object.__setattr__(self, "_z_slots", (
@@ -120,7 +115,6 @@ _FLOAT_FIELDS = (
     "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
     "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
 )
-_INT_FIELDS = ("deadline_slots", "seed", "block_size_k")
 
 
 def is_finite_number(value) -> bool:
@@ -179,6 +173,11 @@ class SlotTable:
 
 
 def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
+    """The graph's `SlotTable` under `params`.
+
+    Raises ValueError unless the energy terms sum to a finite total.  The
+    terms are never negative, so every sum of them a layer takes is finite.
+    """
     # Cached on the graph, by every config value the table reads: the graph
     # is immutable after construction and the exact Fraction ceilings are not
     # cheap enough for the solver's hot loops.
@@ -193,13 +192,16 @@ def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
             )
         )
         coef = params.kappa * params.f_c_hz * params.f_c_hz
-        table = graph._slot_tables[key] = SlotTable(
-            client=client,
-            server=server,
-            local={m.id: coef * m.workload_cycles for m in graph.modules},
-            up=[e.bits * params.theta_up for e in graph.edges],
-            down=[e.bits * params.theta_down for e in graph.edges],
-        )
+        try:  # an int beyond float range, or a sum beyond it, overflows
+            local = {m.id: coef * m.workload_cycles for m in graph.modules}
+            up = [e.bits * params.theta_up for e in graph.edges]
+            down = [e.bits * params.theta_down for e in graph.edges]
+            total = math.fsum(local.values()) + math.fsum(up) + math.fsum(down)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            raise ValueError("the energy terms of the graph under this config do not sum to a finite total")
+        table = graph._slot_tables[key] = SlotTable(client, server, local, up, down)
     return table
 
 

@@ -252,7 +252,8 @@ def load_trace_samples(path: str | Path, payload_bits: float) -> dict[str, Sampl
     """Read a trace CSV into the four sample sets used for fitting.
 
     Row-wise: v_up = (queue_up + payload)/rate_up, v_down likewise on the
-    downlink, j = power_up/rate_up, h = power_down/rate_down.
+    downlink, j = power_up/rate_up, h = power_down/rate_down.  The samples
+    are derived in place, in the queue and power columns of the table read.
     """
     rows = _read_trace_rows(path)
     q_up = rows["queue_up_bits"]
@@ -263,11 +264,15 @@ def load_trace_samples(path: str | Path, payload_bits: float) -> dict[str, Sampl
     p_dn = rows["power_down_mw"]
     if np.any(r_up <= 0) or np.any(r_dn <= 0):
         raise ValueError("trace rates must be positive")
+    for queue, power, rate in ((q_up, p_up, r_up), (q_dn, p_dn, r_dn)):
+        queue += payload_bits
+        queue /= rate
+        power /= rate
     return {
-        "v_up": SampleSet((q_up + payload_bits) / r_up, unit="s"),
-        "v_down": SampleSet((q_dn + payload_bits) / r_dn, unit="s"),
-        "j": SampleSet(p_up / r_up, unit="mW*s/bit"),
-        "h": SampleSet(p_dn / r_dn, unit="mW*s/bit"),
+        "v_up": SampleSet(q_up, unit="s"),
+        "v_down": SampleSet(q_dn, unit="s"),
+        "j": SampleSet(p_up, unit="mW*s/bit"),
+        "h": SampleSet(p_dn, unit="mW*s/bit"),
     }
 
 

@@ -11,7 +11,7 @@ import functools
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 
@@ -50,16 +50,18 @@ class DataEdge:
 
 @dataclass
 class TaskGraph:
-    """DAG of task modules. Treat as immutable: derived indices are cached on first use."""
+    """DAG of task modules. Treat as immutable: derived indices are cached on first use.
+
+    `parents` and `children` list, for each node id, the ids at the other
+    end of its edges, ascending.
+    """
 
     modules: list[TaskModule]
     edges: list[DataEdge]
-    parents: dict[int, list[int]] = field(default_factory=dict)
-    children: dict[int, list[int]] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.parents = {m.id: [] for m in self.modules}
-        self.children = {m.id: [] for m in self.modules}
+        self.parents: dict[int, list[int]] = {m.id: [] for m in self.modules}
+        self.children: dict[int, list[int]] = {m.id: [] for m in self.modules}
         # In (src, dst) order, so that both lists of every node come out sorted.
         for src, dst in sorted((e.src, e.dst) for e in self.edges):
             if src in self.children:
@@ -97,27 +99,32 @@ class TaskGraph:
 
     @functools.cached_property
     def _topological_order(self) -> tuple[int, ...]:
-        indeg = {m.id: 0 for m in self.modules}
-        adj: dict[int, list[int]] = {m.id: [] for m in self.modules}
-        for e in self.edges:
-            if e.src in adj and e.dst in indeg and e.src != e.dst:
-                adj[e.src].append(e.dst)
-                indeg[e.dst] += 1
-
-        heap = [i for i, d in indeg.items() if d == 0]
+        # Kahn's algorithm over the known parents of each node, self-loops
+        # aside; the heap breaks ties by ascending id.
+        parents, children = self.parents, self.children
+        indeg = {v: sum(u in parents and u != v for u in ps) for v, ps in parents.items()}
+        heap = [v for v, d in indeg.items() if d == 0]
         heapq.heapify(heap)
         order: list[int] = []
         while heap:
             u = heapq.heappop(heap)
             order.append(u)
-            for v in sorted(adj[u]):
-                indeg[v] -= 1
-                if indeg[v] == 0:
-                    heapq.heappush(heap, v)
+            for v in children[u]:  # a self-loop takes u's own count below 0
+                if v in indeg:
+                    indeg[v] -= 1
+                    if indeg[v] == 0:
+                        heapq.heappush(heap, v)
 
         if len(order) != len(indeg):
-            u, v = _find_cycle_edge(adj, {i for i, d in indeg.items() if d > 0})
-            raise GraphError(f"cycle detected through edge {u}->{v}")
+            # Every unplaced node has an unplaced parent: walk up from the
+            # smallest one until a node repeats, which closes a cycle.
+            placed = set(order)
+            seen: set[int] = set()
+            v = min(indeg.keys() - placed)
+            while v not in seen:
+                seen.add(v)
+                u, v = v, next(p for p in parents[v] if p in parents and p != v and p not in placed)
+            raise GraphError(f"cycle detected through edge {v}->{u}")
         return tuple(order)
 
     @functools.cached_property
@@ -192,32 +199,6 @@ def topological_order(graph: TaskGraph) -> list[int]:
     return list(graph._topological_order)
 
 
-def _find_cycle_edge(adj: dict[int, list[int]], remaining: set[int]) -> tuple[int, int]:
-    # DFS over the unresolved subgraph; the first back edge sits on a cycle.
-    color: dict[int, int] = {}
-    for start in sorted(remaining):
-        if color.get(start):
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = 1
-        while stack:
-            node, idx = stack[-1]
-            succs = [v for v in adj[node] if v in remaining]
-            if idx < len(succs):
-                stack[-1] = (node, idx + 1)
-                nxt = succs[idx]
-                state = color.get(nxt, 0)
-                if state == 1:
-                    return node, nxt
-                if state == 0:
-                    color[nxt] = 1
-                    stack.append((nxt, 0))
-            else:
-                color[node] = 2
-                stack.pop()
-    raise GraphError("cycle detected")  # pragma: no cover - defensive
-
-
 def graph_to_dict(graph: TaskGraph) -> dict:
     """Canonical JSON form: nodes ascending by id, edges ascending by (from, to)."""
     nodes = sorted(graph.modules, key=lambda m: m.id)
@@ -226,6 +207,11 @@ def graph_to_dict(graph: TaskGraph) -> dict:
         "nodes": [{"id": m.id, "workload_cycles": m.workload_cycles} for m in nodes],
         "edges": [{"from": e.src, "to": e.dst, "bits": e.bits} for e in edges],
     }
+
+
+def is_int(value) -> bool:
+    """An int of an input file: JSON's true and false are not ints here."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def graph_from_dict(data: dict) -> TaskGraph:
@@ -241,7 +227,7 @@ def graph_from_dict(data: dict) -> TaskGraph:
     for item in data["nodes"]:
         if not isinstance(item, dict) or set(item) != {"id", "workload_cycles"}:
             raise SchemaError(f"bad node entry: {item!r}")
-        if not isinstance(item["id"], int) or not isinstance(item["workload_cycles"], int):
+        if not all(is_int(item[k]) for k in ("id", "workload_cycles")):
             raise SchemaError(f"node fields must be integers: {item!r}")
         modules.append(TaskModule(item["id"], item["workload_cycles"]))
 
@@ -249,7 +235,7 @@ def graph_from_dict(data: dict) -> TaskGraph:
     for item in data["edges"]:
         if not isinstance(item, dict) or set(item) != {"from", "to", "bits"}:
             raise SchemaError(f"bad edge entry: {item!r}")
-        if not all(isinstance(item[k], int) for k in ("from", "to", "bits")):
+        if not all(is_int(item[k]) for k in ("from", "to", "bits")):
             raise SchemaError(f"edge fields must be integers: {item!r}")
         edges.append(DataEdge(item["from"], item["to"], item["bits"]))
 

@@ -400,7 +400,59 @@ def test_out_of_range_config_gives_error_exit(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+# Each sums the energy terms of the gen --nodes 6 DAG (seed 0) beyond float
+# range: a term overflows, or (kappa 6e283) every term is finite and only
+# their total is not, or a workload is an int beyond float range.
+_OVER_RANGE = {
+    "kappa-1e290": ({"kappa": 1e290}, 1),
+    "theta_up-1e305": ({"theta_up": 1e305}, 1),
+    "kappa-6e283": ({"kappa": 6e283}, 1),
+    "workload-1e400": ({}, 10**400),
+}
+
+
+@pytest.mark.parametrize("command", ["cg", "auto", "oracle", "simulate"])
+@pytest.mark.parametrize("case", list(_OVER_RANGE))
+def test_energy_total_beyond_float_range_gives_error_exit(tmp_path, capsys, case, command):
+    values, workload = _OVER_RANGE[case]
+    dag = tmp_path / "dag.json"
+    assert main(["--seed", "0", "gen", "--nodes", "6", "--out", str(dag)]) == 0
+    data = json.loads(dag.read_text())
+    data["nodes"][1]["workload_cycles"] *= workload
+    dag.write_text(json.dumps(data))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(values))
+    decision = tmp_path / "decision.json"
+    decision.write_text(json.dumps(_decision_nodes()))
+    argv = {
+        "cg": ["solve", "--policy", "cg"],
+        "auto": ["solve", "--policy", "auto"],
+        "oracle": ["oracle"],
+        "simulate": ["simulate", "--decision", str(decision), "--model", str(_write_model(tmp_path))],
+    }[command]
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert main(["--config", str(config)] + argv + ["--dag", str(dag), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 _GEV = {"mu": 2.0, "sigma": 0.01, "xi": 0.05}
+
+
+def _decision_nodes(node: int = 1, **fields) -> dict:
+    """An all-client decision of a 6-node DAG, with `fields` set on `node`."""
+    nodes = [{"id": i, "location": "client", "slot": 10 * i} for i in range(1, 7)]
+    nodes[node - 1].update(fields)
+    return {"nodes": nodes}
+
+
+def _two_node_dag(entry: dict | None = None, edge: dict | None = None) -> dict:
+    """A valid 2-node DAG once JSON's true reads as 1 and false as 0."""
+    return {
+        "nodes": [{"id": 1, "workload_cycles": 0, **(entry or {})}, {"id": 2, "workload_cycles": 1}],
+        "edges": [{"from": 1, "to": 2, "bits": 1, **(edge or {})}],
+    }
 
 
 @pytest.mark.parametrize(
@@ -411,8 +463,16 @@ _GEV = {"mu": 2.0, "sigma": 0.01, "xi": 0.05}
         ("gev", json.dumps({"v_down": _GEV})),
         ("gev", json.dumps({"v_up": {"mu": 2.0, "sigma": 0.01}, "v_down": _GEV})),
         ("gev", json.dumps({"v_up": {"mu": "a", "sigma": 0.01, "xi": 0.05}, "v_down": _GEV})),
+        ("dag", json.dumps(_two_node_dag(entry={"id": True}))),
+        ("dag", json.dumps(_two_node_dag(entry={"workload_cycles": False}))),
+        ("dag", json.dumps(_two_node_dag(edge={"from": True}))),
+        ("decision", json.dumps(_decision_nodes(3, id="3"))),
+        ("decision", json.dumps(_decision_nodes(1, id=True))),
+        ("decision", json.dumps(_decision_nodes(2, slot=2.7))),
     ],
-    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi", "gev-string-mu"],
+    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi", "gev-string-mu",
+         "dag-bool-id", "dag-bool-workload", "dag-bool-from",
+         "decision-string-id", "decision-bool-id", "decision-float-slot"],
 )
 def test_wrong_shaped_json_gives_error_exit(tmp_path, capsys, flag, content):
     bad = tmp_path / "bad.json"
@@ -426,6 +486,9 @@ def test_wrong_shaped_json_gives_error_exit(tmp_path, capsys, flag, content):
         "model": ["--config", str(config), "simulate", "--dag", str(dag),
                   "--decision", str(decision), "--model", str(bad)],
         "gev": ["--config", str(config), "compare", "--dag", str(dag), "--gev", str(bad)],
+        "dag": ["--config", str(config), "solve", "--dag", str(bad)],
+        "decision": ["--config", str(config), "simulate", "--dag", str(dag),
+                     "--decision", str(bad), "--model", str(_write_model(tmp_path))],
     }[flag]
     out = tmp_path / "out.json"
     capsys.readouterr()

@@ -164,15 +164,14 @@ def test_params_accept_integral_float_deadline():
 
 
 @pytest.mark.parametrize("value", [2.5, 1.5, math.inf, math.nan, "7", None, True, False])
-@pytest.mark.parametrize("name", ["seed", "block_size_k"])
-def test_params_reject_non_integral_int_fields(name, value):
-    with pytest.raises(ValueError, match=name):
-        SystemParams(**{name: value})
+def test_params_reject_non_integral_int_fields(value):
+    with pytest.raises(ValueError, match="deadline_slots"):
+        SystemParams(deadline_slots=value)
 
 
 def test_params_accept_integral_float_int_fields():
-    params = SystemParams(seed=12345.0, block_size_k=1500.0)
-    assert isinstance(params.seed, int) and isinstance(params.block_size_k, int)
+    params = SystemParams(deadline_slots=5000.0)
+    assert isinstance(params.deadline_slots, int)
     assert params == SystemParams()
 
 
@@ -182,7 +181,7 @@ def test_params_reject_int_beyond_float_range():
 
 
 def test_params_json_roundtrip(tmp_path):
-    params = SystemParams(theta_up=1e-3, seed=7)
+    params = SystemParams(theta_up=1e-3, deadline_slots=7)
     path = tmp_path / "cfg.json"
     params.to_json(path)
     again = SystemParams.from_json(path)
@@ -193,6 +192,14 @@ def test_params_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"bogus": 1}')
     with pytest.raises(ValueError, match="unknown config keys"):
+        SystemParams.from_json(path)
+
+
+@pytest.mark.parametrize("key", ["seed", "block_size_k"])
+def test_params_have_no_unread_keys(tmp_path, key):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{key}": 1}}')
+    with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
         SystemParams.from_json(path)
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,60 @@ def test_topological_cycle_names_an_edge():
     )
     with pytest.raises(GraphError, match=r"cycle detected through edge \d+->\d+"):
         topological_order(graph)
+
+
+@st.composite
+def messy_graphs(draw):
+    """Node ids from 1..8 and edges between ids from 0..9: unknown ids,
+    self-loops and duplicate edges come up, and half the graphs point every
+    edge up the ids, which leaves their known, non-self edges acyclic."""
+    ids = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=14))
+    if draw(st.booleans()):
+        pairs = [(min(u, v), max(u, v)) for u, v in pairs]
+    return TaskGraph([TaskModule(i, 1) for i in ids], [DataEdge(u, v, 1) for u, v in pairs])
+
+
+def _known_arcs(graph):
+    known = {m.id for m in graph.modules}
+    return {(e.src, e.dst) for e in graph.edges if e.src in known and e.dst in known and e.src != e.dst}
+
+
+def _reference_order(graph):
+    """Repeatedly place the smallest node whose known, non-self parents are
+    all placed; None when some node never gets there."""
+    arcs, left, order = _known_arcs(graph), {m.id for m in graph.modules}, []
+    while left:
+        ready = [v for v in left if not any(dst == v and src in left for src, dst in arcs)]
+        if not ready:
+            return None
+        order.append(min(ready))
+        left.remove(order[-1])
+    return order
+
+
+@settings(max_examples=400, deadline=None)
+@given(messy_graphs())
+@example(graph=TaskGraph([TaskModule(i, 1) for i in (1, 2, 3, 4)], [DataEdge(u, v, 1) for u, v in (
+    (1, 2), (2, 3), (3, 1), (4, 4), (4, 9), (2, 4),
+)]))
+def test_topological_order_matches_a_literal_reference(graph):
+    expected = _reference_order(graph)
+    if expected is not None:
+        assert topological_order(graph) == expected
+        return
+    with pytest.raises(GraphError) as info:
+        topological_order(graph)
+    u, v = map(int, re.fullmatch(r"cycle detected through edge (\d+)->(\d+)", str(info.value)).groups())
+    arcs = _known_arcs(graph)
+    assert (u, v) in arcs
+    reached, frontier = {v}, [v]  # the named edge closes a path v ~> u
+    for a in frontier:
+        for src, dst in arcs:
+            if src == a and dst not in reached:
+                reached.add(dst)
+                frontier.append(dst)
+    assert u in reached
 
 
 def test_smart_diagnosis_instance_loads():

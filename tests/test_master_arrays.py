@@ -1,7 +1,8 @@
 """The array master step against the scalar checker and objective.
 
-`SolverState.master_check` must pass exactly the schedules that
-`check_constraints` finds no violation in, and `SolverState.psi` must equal
+On every schedule `check_constraints` finds no violation in, the margins
+`SolverState.update_margins` writes must equal each edge's scalar bound
+less its transfer slots, and on every state `SolverState.psi` must equal
 `worst_case_expected_energy(...).psi` bit for bit.  The states are random
 DAGs with random locations (the pinned endpoints on the server included),
 random slots (some outside 0..T) and execution and transfer slot counts
@@ -84,23 +85,23 @@ def master_states(draw):
 def test_array_master_matches_scalar_checker(state):
     graph, params = state.graph, state.params
     decision = state.decision()
-    margin = state.master_check()
-    assert (margin is not None) == (not check_constraints(graph, decision, params))
-    if margin is not None:
-        # A feasible schedule touches no capped count: each margin is exact.
-        slots = slot_table(graph, params)
-        for i, e in enumerate(graph.edges):
-            src_client, dst_client = decision.is_client(e.src), decision.is_client(e.dst)
-            required = (
-                params.z_up_slots if src_client and not dst_client
-                else params.z_down_slots if dst_client and not src_client
-                else 0
-            )
-            bound = (
-                decision.slot[e.dst] - decision.slot[e.src]
-                - slots.at(e.dst, decision.location[e.dst])
-            )
-            assert margin[i] == bound - required
+    if check_constraints(graph, decision, params):
+        return
+    state.update_margins()
+    # A feasible schedule touches no capped count: each margin is exact.
+    slots = slot_table(graph, params)
+    for i, e in enumerate(graph.edges):
+        src_client, dst_client = decision.is_client(e.src), decision.is_client(e.dst)
+        required = (
+            params.z_up_slots if src_client and not dst_client
+            else params.z_down_slots if dst_client and not src_client
+            else 0
+        )
+        bound = (
+            decision.slot[e.dst] - decision.slot[e.src]
+            - slots.at(e.dst, decision.location[e.dst])
+        )
+        assert state.margin[i] == bound - required >= 0
 
 
 @settings(max_examples=300, deadline=None)
