@@ -41,9 +41,13 @@ def _decision_from_file(path: str) -> OffloadDecision:
         nodes = [(item["id"], item["location"], item["slot"]) for item in data["nodes"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"decision {path}: every node needs an id, a location and a slot") from exc
+    seen = set()
     for node, _, slot in nodes:
         if not (is_int(node) and is_int(slot)):
             raise ValueError(f"decision {path}: node ids and slots must be integers, got {node!r}, {slot!r}")
+        if node in seen:
+            raise ValueError(f"decision {path}: node {node} is listed twice")
+        seen.add(node)
     return OffloadDecision(
         location={node: where for node, where, _ in nodes}, slot={node: slot for node, _, slot in nodes}
     )

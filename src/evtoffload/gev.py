@@ -6,9 +6,14 @@ worst-case transfer budget and its mean the worst-case expected energy
 coefficient.  Shape convention: xi > 0 heavy tail (Frechet), xi = 0 Gumbel,
 xi < 0 bounded tail (Weibull).
 
-scipy is imported inside its three users (`gev_mean`, `pwm_start` and
-`fit_gev_mle`), not here: it takes most of the package's import time, and
-only `fit` needs it.
+The maximum-likelihood fit minimises with `_nelder_mead`, a port of scipy's
+Nelder-Mead simplex search (BSD-3-Clause, SciPy Developers) that takes its
+steps bit for bit.  It lives here because `scipy.optimize`, imported for that
+one call, took about 23 MiB of `fit --traces`'s peak memory.  scipy is still
+the source of `scipy.special.gamma`, whose last bits `math.gamma` does not
+match; it is imported inside its two users (`gev_mean` and `pwm_start`), not
+here, because it takes most of the package's import time and only `fit`
+needs it.
 """
 from __future__ import annotations
 
@@ -207,15 +212,121 @@ def _gumbel_moments(x: np.ndarray) -> tuple[float, float, float]:
     return mu, sigma, 0.0
 
 
+class _EvaluationBudgetSpent(Exception):
+    """The simplex search may not evaluate the likelihood again."""
+
+
+def _nelder_mead(maxima: np.ndarray, x0: np.ndarray, maxiter: int, maxfev: int,
+                 xatol: float, fatol: float) -> tuple[np.ndarray, bool, str]:
+    """Minimise `gev_neg_log_likelihood(., maxima)` from x0 by Nelder-Mead.
+
+    A port of scipy's `_minimize_neldermead` (scipy 1.17.1,
+    scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
+    Enthought, Inc. and 2003 onwards SciPy Developers) for the options
+    `fit_gev_mle` uses: no bounds, fixed coefficients and scipy's default
+    start simplex.  It takes the same steps with the same numpy expressions,
+    so its `(x, success, message)` equal the `x`, `success` and `message` of
+    `minimize(..., method="Nelder-Mead")` with those options, bit for bit.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nonzdelt, zdelt = 0.05, 0.00025
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + nonzdelt) * y[k]
+        else:
+            y[k] = zdelt
+        sim[k + 1] = y
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    fcalls = 0
+
+    def func(point: np.ndarray) -> float:
+        nonlocal fcalls
+        if fcalls >= maxfev:
+            raise _EvaluationBudgetSpent
+        fcalls += 1
+        return gev_neg_log_likelihood(np.copy(point), maxima)
+
+    try:
+        for k in range(N + 1):
+            fsim[k] = func(sim[k])
+    except _EvaluationBudgetSpent:
+        pass
+    # scipy sorts twice here; argsort is not stable, so both stay.
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while fcalls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / N
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = func(xr)
+            doshrink = False
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = func(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = func(xc)
+                    if fxc <= fxr:
+                        sim[-1], fsim[-1] = xc, fxc
+                    else:
+                        doshrink = True
+                else:
+                    xcc = (1 - psi) * xbar + psi * sim[-1]
+                    fxcc = func(xcc)
+                    if fxcc < fsim[-1]:
+                        sim[-1], fsim[-1] = xcc, fxcc
+                    else:
+                        doshrink = True
+                if doshrink:
+                    for j in range(1, N + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = func(sim[j])
+            iterations += 1
+        except _EvaluationBudgetSpent:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    if fcalls >= maxfev:
+        return sim[0], False, "Maximum number of function evaluations has been exceeded."
+    if iterations >= maxiter:
+        return sim[0], False, "Maximum number of iterations has been exceeded."
+    return sim[0], True, "Optimization terminated successfully."
+
+
 def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
     """Maximum-likelihood GEV fit via Nelder-Mead from a PWM start.
 
-    Deterministic.  Raises DegenerateSampleError for constant input and
-    FitConvergenceError (carrying the best point) if the simplex search
-    does not converge within max_iter iterations.
-    """
-    from scipy.optimize import minimize
+    The simplex search is `_nelder_mead`, an in-package port of scipy's
+    `minimize(method="Nelder-Mead")` that takes the same steps and returns
+    the same bits; importing `scipy.optimize` for it would cost `fit` more
+    memory than the rest of the command.  The search stops after max_iter
+    iterations or 4 * max_iter likelihood evaluations.
 
+    Deterministic.  Raises DegenerateSampleError for constant input and
+    FitConvergenceError (carrying the best point and scipy's status message)
+    if the simplex search does not converge within either budget.
+    """
     x = np.asarray(maxima.maxima, dtype=float)
     if len(x) < 10:
         raise ValueError(f"need at least 10 block maxima, got {len(x)}")
@@ -232,19 +343,15 @@ def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
             theta0 = list(_gumbel_moments(x))
             break
 
-    res = minimize(
-        gev_neg_log_likelihood,
-        np.array(theta0),
-        args=(x,),
-        method="Nelder-Mead",
-        options={"maxiter": max_iter, "maxfev": 4 * max_iter, "xatol": 1e-8, "fatol": 1e-12},
+    best, success, message = _nelder_mead(
+        x, np.array(theta0), maxiter=max_iter, maxfev=4 * max_iter, xatol=1e-8, fatol=1e-12
     )
-    mu, sigma, xi = (float(v) for v in res.x)
+    mu, sigma, xi = (float(v) for v in best)
     if abs(xi) < XI_ZERO_TOL:
         xi = 0.0
     params = GevParams(mu=mu, sigma=max(sigma, 1e-300), xi=xi)
-    if not res.success:
-        raise FitConvergenceError(f"simplex search did not converge: {res.message}", params)
+    if not success:
+        raise FitConvergenceError(f"simplex search did not converge: {message}", params)
     return params
 
 

@@ -227,9 +227,11 @@ def test_fit_on_traces_loads_scipy_and_matches_an_in_process_fit(tmp_path):
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     code = (
         "import sys; from evtoffload import cli; before = 'scipy' in sys.modules; "
-        f"print(before, cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules)"
+        f"print(before, cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules, "
+        "'scipy.optimize' in sys.modules)"
     )
-    assert _fresh_python(code) == "False 0 True"
+    # scipy.special (for gamma) loads; the simplex search is the package's own.
+    assert _fresh_python(code) == "False 0 True False"
     assert main(args + ["--out", str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()
 
@@ -494,6 +496,20 @@ def test_wrong_shaped_json_gives_error_exit(tmp_path, capsys, flag, content):
     capsys.readouterr()
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_decision_listing_a_node_twice_gives_error_exit(tmp_path, capsys):
+    dag = _gen_dag(tmp_path, nodes=6)
+    decision = _decision_nodes()
+    decision["nodes"].append({"id": 3, "location": "server", "slot": 1})
+    bad = tmp_path / "decision.json"
+    bad.write_text(json.dumps(decision))
+    out = tmp_path / "out.json"
+    argv = ["--config", str(_toy_config(tmp_path)), "simulate", "--dag", str(dag), "--decision", str(bad),
+            "--model", str(_write_model(tmp_path)), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: decision {bad}: node 3 is listed twice")
     assert not out.exists()
 
 

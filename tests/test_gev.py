@@ -1,15 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize
 
 from evtoffload.gev import (
     BlockMaxima,
     DegenerateSampleError,
     GevParams,
     SampleSet,
+    _gumbel_moments,
+    _nelder_mead,
     block_maxima,
     fit_gev_mle,
     gev_cdf,
@@ -242,6 +245,59 @@ def test_fit_iteration_cap_error_carries_best_params():
     carried = excinfo.value.params
     assert carried.sigma > 0
     assert math.isfinite(carried.mu)
+
+
+def _port_and_scipy(maxima, x0, maxiter, maxfev, xatol=1e-8, fatol=1e-12):
+    """(x bytes, success, message) of `_nelder_mead` and of scipy's minimize.
+
+    RuntimeWarnings are ignored, as outside the test suite, so that both
+    searches run to their end.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        x, success, message = _nelder_mead(maxima, x0, maxiter, maxfev, xatol, fatol)
+        res = minimize(
+            gev_neg_log_likelihood, x0, args=(maxima,), method="Nelder-Mead",
+            options={"maxiter": maxiter, "maxfev": maxfev, "xatol": xatol, "fatol": fatol},
+        )
+    return (x.tobytes(), success, message), (res.x.tobytes(), bool(res.success), res.message)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(
+    n=st.integers(10, 400),
+    mu=st.floats(-5, 5),
+    sigma=st.floats(0.05, 5),
+    xi=st.floats(-0.4, 0.6),
+    seed=st.integers(0, 2**32 - 1),
+    # The fit's two starts; the Gumbel one has xi == 0, which gets scipy's
+    # absolute start step instead of the 5% one.
+    start=st.sampled_from([pwm_start, _gumbel_moments]),
+)
+def test_nelder_mead_matches_scipy_bit_for_bit(n, mu, sigma, xi, seed, start):
+    maxima = _synthetic_maxima(GevParams(mu, sigma, xi), n, seed)
+    port, reference = _port_and_scipy(maxima, np.array(start(maxima)), 2000, 8000)
+    assert port == reference
+
+
+@pytest.mark.parametrize(
+    "maxiter,maxfev,message",
+    [
+        (2000, 8000, "Optimization terminated successfully."),
+        (1, 8000, "Maximum number of iterations has been exceeded."),
+        (25, 8000, "Maximum number of iterations has been exceeded."),
+        (2000, 2, "Maximum number of function evaluations has been exceeded."),
+        (2000, 40, "Maximum number of function evaluations has been exceeded."),
+        (1, 4, "Maximum number of function evaluations has been exceeded."),
+    ],
+    ids=["converges", "maxiter-1", "maxiter-25", "maxfev-in-start-simplex", "maxfev-40",
+         "both-spent"],
+)
+def test_nelder_mead_budgets_match_scipy(maxiter, maxfev, message):
+    maxima = _synthetic_maxima(GevParams(2.0, 0.5, 0.1), 200, 15)
+    port, reference = _port_and_scipy(maxima, np.array(pwm_start(maxima)), maxiter, maxfev)
+    assert port == reference
+    assert port[1:] == (message == "Optimization terminated successfully.", message)
 
 
 # --- trace CSV --------------------------------------------------------------
