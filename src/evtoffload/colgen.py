@@ -69,6 +69,7 @@ rests on the bound alone.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,7 +88,9 @@ from .energy import (
     slot_table,
     worst_case_expected_energy,
 )
-from .graph import GraphValidationError, TaskGraph, topological_order, validate_graph, write_json
+from .graph import (
+    GraphValidationError, TaskGraph, topological_order, validate_graph, write_json, write_text,
+)
 from .oracle import earliest_completion
 
 CERT_REL_TOL = 1e-12
@@ -632,16 +635,17 @@ def write_decision_json(path: str | Path, result: SolveResult) -> None:
 
 
 def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "psi_upper", "psi_lower", "r_underbar", "admitted_node"])
-        for rec in log:
-            writer.writerow(
-                [
-                    rec.index,
-                    repr(rec.psi_upper),
-                    repr(rec.psi_lower),
-                    repr(rec.r_underbar),
-                    "" if rec.admitted_node is None else rec.admitted_node,
-                ]
-            )
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["iter", "psi_upper", "psi_lower", "r_underbar", "admitted_node"])
+    for rec in log:
+        writer.writerow(
+            [
+                rec.index,
+                repr(rec.psi_upper),
+                repr(rec.psi_lower),
+                repr(rec.r_underbar),
+                "" if rec.admitted_node is None else rec.admitted_node,
+            ]
+        )
+    write_text(path, text.getvalue())

@@ -6,14 +6,12 @@ worst-case transfer budget and its mean the worst-case expected energy
 coefficient.  Shape convention: xi > 0 heavy tail (Frechet), xi = 0 Gumbel,
 xi < 0 bounded tail (Weibull).
 
-The maximum-likelihood fit minimises with `_nelder_mead`, a port of scipy's
-Nelder-Mead simplex search (BSD-3-Clause, SciPy Developers) that takes its
-steps bit for bit.  It lives here because `scipy.optimize`, imported for that
-one call, took about 23 MiB of `fit --traces`'s peak memory.  scipy is still
-the source of `scipy.special.gamma`, whose last bits `math.gamma` does not
-match; it is imported inside its two users (`gev_mean` and `pwm_start`), not
-here, because it takes most of the package's import time and only `fit`
-needs it.
+The maximum-likelihood fit is a damped Newton search on the likelihood's
+analytic gradient and Hessian (`fit_gev_mle`), so `scipy.optimize` is never
+imported.  scipy is still the source of `scipy.special.gamma`, whose last bits
+`math.gamma` does not match; it is imported inside its two users (`gev_mean`
+and `pwm_start`), not here, because it takes most of the package's import
+time and only `fit` needs it.
 """
 from __future__ import annotations
 
@@ -49,7 +47,7 @@ class DegenerateSampleError(ValueError):
 
 
 class FitConvergenceError(RuntimeError):
-    """Simplex search hit its iteration cap. Carries the best point found."""
+    """Likelihood search did not converge. Carries the best point found."""
 
     def __init__(self, message: str, params: "GevParams"):
         super().__init__(message)
@@ -212,120 +210,97 @@ def _gumbel_moments(x: np.ndarray) -> tuple[float, float, float]:
     return mu, sigma, 0.0
 
 
-class _EvaluationBudgetSpent(Exception):
-    """The simplex search may not evaluate the likelihood again."""
+# Taylor coefficients of u**k, k = 0..5, of `_log1p_ratios`' three functions.
+_K = np.arange(6.0)
+_RATIO_SERIES = (-1.0) ** _K * np.array([1 / (_K + 1), -(_K + 1) / (_K + 2), (_K + 1) * (_K + 2) / (_K + 3)])
 
 
-def _nelder_mead(maxima: np.ndarray, x0: np.ndarray, maxiter: int, maxfev: int,
-                 xatol: float, fatol: float) -> tuple[np.ndarray, bool, str]:
-    """Minimise `gev_neg_log_likelihood(., maxima)` from x0 by Nelder-Mead.
+def _log1p_ratios(u: np.ndarray) -> np.ndarray:
+    """Rows l(u) = log1p(u)/u, g(u) = (1/(1+u) - l)/u and (-1/(1+u)**2 - 2g)/u.
 
-    A port of scipy's `_minimize_neldermead` (scipy 1.17.1,
-    scipy/optimize/_optimize.py; BSD-3-Clause, Copyright (c) 2001-2002
-    Enthought, Inc. and 2003 onwards SciPy Developers) for the options
-    `fit_gev_mle` uses: no bounds, fixed coefficients and scipy's default
-    start simplex.  It takes the same steps with the same numpy expressions,
-    so its `(x, success, message)` equal the `x`, `success` and `message` of
-    `minimize(..., method="Nelder-Mead")` with those options, bit for bit.
+    Below |u| = 1e-3, where the divisions cancel, they are summed from their
+    Taylor series instead (truncation error below 1e-17).
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    nonzdelt, zdelt = 0.05, 0.00025
-    x0 = np.asarray(x0, dtype=float)
-    N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
-    for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + nonzdelt) * y[k]
-        else:
-            y[k] = zdelt
-        sim[k + 1] = y
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    fcalls = 0
+    small = np.abs(u) < 1e-3
+    v = np.where(small, 1.0, u)
+    inv = 1.0 / (1.0 + v)
+    log_ratio = np.log1p(v) / v
+    g = (inv - log_ratio) / v
+    out = np.array([log_ratio, g, (-inv * inv - 2.0 * g) / v])
+    powers = u[small] ** _K[:, None]
+    out[:, small] = _RATIO_SERIES @ powers
+    return out
 
-    def func(point: np.ndarray) -> float:
-        nonlocal fcalls
-        if fcalls >= maxfev:
-            raise _EvaluationBudgetSpent
-        fcalls += 1
-        return gev_neg_log_likelihood(np.copy(point), maxima)
 
-    try:
-        for k in range(N + 1):
-            fsim[k] = func(sim[k])
-    except _EvaluationBudgetSpent:
-        pass
-    # scipy sorts twice here; argsort is not stable, so both stay.
-    for _ in range(2):
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+def _nll_derivatives(theta: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """GEV negative log-likelihood at theta = (mu, log sigma, xi), with its
+    gradient and Hessian; the likelihood is +inf outside the support.
 
-    iterations = 1
-    while fcalls < maxfev and iterations < maxiter:
-        try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / N
-            xr = (1 + rho) * xbar - rho * sim[-1]
-            fxr = func(xr)
-            doshrink = False
-            if fxr < fsim[0]:
-                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
-                fxe = func(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:
-                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
-                    fxc = func(xc)
-                    if fxc <= fxr:
-                        sim[-1], fsim[-1] = xc, fxc
-                    else:
-                        doshrink = True
-                else:
-                    xcc = (1 - psi) * xbar + psi * sim[-1]
-                    fxcc = func(xcc)
-                    if fxcc < fsim[-1]:
-                        sim[-1], fsim[-1] = xcc, fxcc
-                    else:
-                        doshrink = True
-                if doshrink:
-                    for j in range(1, N + 1):
-                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
-                        fsim[j] = func(sim[j])
-            iterations += 1
-        except _EvaluationBudgetSpent:
-            pass
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
+    With y = (x - mu)/sigma and r = log1p(xi*y)/xi, each maximum contributes
+    log sigma + (1 + xi)*r + exp(-r), and the derivatives follow from r's.
+    """
+    mu, log_sigma, xi = theta
+    n = len(x)
+    with np.errstate(all="ignore"):
+        sigma = np.exp(log_sigma)
+        y = (x - mu) / sigma
+        u = xi * y
+        if not np.all(u > -1.0):
+            return math.inf, None, None
+        log_ratio, g, g2 = _log1p_ratios(u)
+        r = y * log_ratio
+        e = np.exp(-r)
+        f = n * log_sigma + (1.0 + xi) * r.sum() + e.sum()
+        inv = 1.0 / (1.0 + u)
+        q = inv * inv
+        # r's gradient (rows), then the Hessian of the sum.
+        dr = np.array([-inv / sigma, -y * inv, y * y * g])
+        a = 1.0 + xi - e
+        qa, qay = q * a, q * a * y
+        s0, s1, s2 = qa.sum(), qay.sum(), (qay * y).sum()
+        hess = (dr * e) @ dr.T + np.array([
+            [-xi * s0 / sigma**2, s0 / sigma, s1 / sigma],
+            [s0 / sigma, s1, s2],
+            [s1 / sigma, s2, a @ (y**3 * g2)],
+        ])
+        dr_sum = dr.sum(axis=1)
+        hess[2] += dr_sum
+        hess[:, 2] += dr_sum
+        grad = dr @ a + np.array([0.0, n, r.sum()])
+    if not (np.isfinite(f) and np.isfinite(hess).all() and np.isfinite(grad).all()):
+        return math.inf, None, None
+    return float(f), grad, hess
 
-    if fcalls >= maxfev:
-        return sim[0], False, "Maximum number of function evaluations has been exceeded."
-    if iterations >= maxiter:
-        return sim[0], False, "Maximum number of iterations has been exceeded."
-    return sim[0], True, "Optimization terminated successfully."
+
+def _mle_start(x: np.ndarray) -> np.ndarray:
+    """The fit's start (mu, log sigma, xi): the PWM estimates, with the shape
+    pulled towards 0 until every maximum lies in the support."""
+    mu, sigma, xi = pwm_start(x)
+    for _ in range(60):
+        if math.isfinite(gev_neg_log_likelihood((mu, sigma, xi), x)):
+            return np.array([mu, math.log(sigma), xi])
+        xi *= 0.5
+        if abs(xi) < 1e-6:
+            break
+    mu, sigma, xi = _gumbel_moments(x)
+    return np.array([mu, math.log(sigma), xi])
 
 
 def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
-    """Maximum-likelihood GEV fit via Nelder-Mead from a PWM start.
+    """Maximum-likelihood GEV fit by a damped Newton search from a PWM start.
 
-    The simplex search is `_nelder_mead`, an in-package port of scipy's
-    `minimize(method="Nelder-Mead")` that takes the same steps and returns
-    the same bits; importing `scipy.optimize` for it would cost `fit` more
-    memory than the rest of the command.  The search stops after max_iter
-    iterations or 4 * max_iter likelihood evaluations.
+    The search runs on (mu, log sigma, xi) with the likelihood's analytic
+    gradient and Hessian.  Each step goes along the Hessian with its
+    eigenvalues replaced by their absolute values, so it descends also where
+    the likelihood is not convex, and is halved until the point lies in the
+    support and the likelihood does not rise.  The search stops when the
+    step's predicted decrease falls below 1e-10 of the likelihood's
+    magnitude, or after max_iter steps.
 
     Deterministic.  Raises DegenerateSampleError for constant input and
-    FitConvergenceError (carrying the best point and scipy's status message)
-    if the simplex search does not converge within either budget.
+    FitConvergenceError (carrying the best point found) if the search does
+    not converge within max_iter steps or no halving of a step lowers the
+    likelihood.
     """
     x = np.asarray(maxima.maxima, dtype=float)
     if len(x) < 10:
@@ -333,25 +308,34 @@ def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
     if float(np.max(x)) == float(np.min(x)):
         raise DegenerateSampleError("all block maxima are identical")
 
-    theta0 = list(pwm_start(x))
-    # Pull the start inside the support if the PWM shape overshoots.
-    for _ in range(60):
-        if math.isfinite(gev_neg_log_likelihood(theta0, x)):
+    theta = _mle_start(x)
+    f, grad, hess = _nll_derivatives(theta, x)
+    converged = False
+    for _ in range(max_iter):
+        w, v = np.linalg.eigh(hess)
+        step = -v @ ((v.T @ grad) / np.abs(w))
+        # A step that promises this little is the last one taken.
+        converged = -grad @ step <= 1e-10 * abs(f)
+        t = 1.0
+        for _ in range(60):
+            trial = _nll_derivatives(theta + t * step, x)
+            if trial[0] <= f:
+                break
+            t *= 0.5
+        else:
             break
-        theta0[2] *= 0.5
-        if abs(theta0[2]) < 1e-6:
-            theta0 = list(_gumbel_moments(x))
+        theta = theta + t * step
+        f, grad, hess = trial
+        if converged:
             break
-
-    best, success, message = _nelder_mead(
-        x, np.array(theta0), maxiter=max_iter, maxfev=4 * max_iter, xatol=1e-8, fatol=1e-12
-    )
-    mu, sigma, xi = (float(v) for v in best)
+    mu, sigma, xi = float(theta[0]), math.exp(theta[1]), float(theta[2])
     if abs(xi) < XI_ZERO_TOL:
         xi = 0.0
     params = GevParams(mu=mu, sigma=max(sigma, 1e-300), xi=xi)
-    if not success:
-        raise FitConvergenceError(f"simplex search did not converge: {message}", params)
+    if not converged:
+        raise FitConvergenceError(
+            f"likelihood search did not converge (at most {max_iter} Newton steps)", params
+        )
     return params
 
 

@@ -268,7 +268,13 @@ def write_json(path: str | Path, data) -> None:
     indent sends `json` to its pure-Python encoder, so the layout is made
     here and the values are encoded by the C encoder.  Keys must be strings.
     """
-    Path(path).write_text(_indented(data, 0) + "\n")
+    write_text(path, _indented(data, 0) + "\n")
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` as it is, without newline translation; every
+    output file of the package is written here."""
+    Path(path).write_text(text, newline="")
 
 
 def _indented(value, depth: int) -> str:

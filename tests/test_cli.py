@@ -230,7 +230,7 @@ def test_fit_on_traces_loads_scipy_and_matches_an_in_process_fit(tmp_path):
         f"print(before, cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules, "
         "'scipy.optimize' in sys.modules)"
     )
-    # scipy.special (for gamma) loads; the simplex search is the package's own.
+    # scipy.special (for gamma) loads; scipy.optimize does not.
     assert _fresh_python(code) == "False 0 True False"
     assert main(args + ["--out", str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()

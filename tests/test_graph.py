@@ -21,6 +21,7 @@ from evtoffload.graph import (
     topological_order,
     validate_graph,
     write_json,
+    write_text,
 )
 from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
 
@@ -236,6 +237,20 @@ def test_write_json_matches_the_indenting_encoder(tmp_path, data):
     path = tmp_path / "data.json"
     write_json(path, data)
     assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
+    path = tmp_path / "out"
+    path.write_bytes(b"x" * 4096 + b"\n")
+    write_json(path, {"a": [1]})
+    assert path.read_bytes() == b'{\n  "a": [\n    1\n  ]\n}\n'
+    log = [colgen.IterationRecord(0, 2.5, 1.0, 0.5, None), colgen.IterationRecord(1, 2.0, 1.5, 0.25, 3)]
+    colgen.write_iteration_log(path, log)
+    assert path.read_bytes() == (
+        b"iter,psi_upper,psi_lower,r_underbar,admitted_node\r\n0,2.5,1.0,0.5,\r\n1,2.0,1.5,0.25,3\r\n"
+    )
+    write_text(path, "a\r\n")
+    assert path.read_bytes() == b"a\r\n"
 
 
 def test_save_load_roundtrip(tmp_path):
