@@ -152,7 +152,7 @@ def test_params_reject_non_finite(name, value):
         SystemParams(**{name: value})
 
 
-@pytest.mark.parametrize("value", [2.5, 1.5, math.inf, math.nan, "5000", "7", None, True, False])
+@pytest.mark.parametrize("value", [2.5, math.inf, math.nan, "5000"])
 def test_params_reject_non_integral_deadline(value):
     with pytest.raises(ValueError, match="deadline_slots"):
         SystemParams(deadline_slots=value)
@@ -161,6 +161,26 @@ def test_params_reject_non_integral_deadline(value):
 def test_params_accept_integral_float_deadline():
     params = SystemParams(deadline_slots=5000.0)
     assert params.deadline_slots == 5000 and isinstance(params.deadline_slots, int)
+    assert params == SystemParams()
+
+
+@pytest.mark.parametrize("value", [2.5, 1.5, math.inf, math.nan, "7", None, True, False])
+@pytest.mark.parametrize("name", ["seed", "block_size_k"])
+def test_params_reject_non_integral_int_fields(tmp_path, name, value):
+    # `seed` and `block_size_k` were never read and are no longer config keys:
+    # deadline_slots, the one integer field, rejects the value, and a config
+    # naming the old key is refused as unknown whatever its value.
+    with pytest.raises(ValueError, match="deadline_slots"):
+        SystemParams(deadline_slots=value)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({name: value}))
+    with pytest.raises(ValueError, match=f"unknown config keys: \\['{name}'\\]"):
+        SystemParams.from_json(path)
+
+
+def test_params_accept_integral_float_int_fields():
+    params = SystemParams(deadline_slots=5000.0)
+    assert isinstance(params.deadline_slots, int)
     assert params == SystemParams()
 
 
