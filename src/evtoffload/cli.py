@@ -94,7 +94,7 @@ def cmd_solve(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
     solver = mincut.solve if args.policy == "auto" else colgen.solve
-    result = solver(graph, params, args.epsilon)
+    result = solver(graph, params)
     colgen.write_decision_json(args.out, result)
     if args.log:
         colgen.write_iteration_log(args.log, result.log)
@@ -170,7 +170,7 @@ def cmd_compare(args) -> int:
             z_down_s=gev_quantile(v_down, eps_m),
         )
         for eps in eps_grid:
-            result = colgen.solve(graph, swept, eps)
+            result = colgen.solve(graph, swept.replace(epsilon=eps))
             offloaded = sum(
                 1 for loc in result.decision.location.values() if loc == "server"
             )
@@ -212,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dag", required=True)
     p.add_argument("--policy", choices=["auto", "cg"], default="cg",
                    help="auto: exact min cut when it meets the deadline, else cg")
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--log", help="iteration log CSV path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

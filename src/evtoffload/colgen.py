@@ -52,19 +52,19 @@ rigorous bound on the rounding error of the computed curve.  Within that
 bound the computed curve need not be monotone, so the window is scanned
 slot by slot, which gives exactly the slot and value a full scan gives
 (smallest slot on ties).  A column is admitted only if it strictly lowers
-the energy objective; otherwise it is blacklisted for later rounds.  The
+psi (`SolverState.delta`); otherwise it is blacklisted for later rounds.  The
 admitted slot lies in the node's window, which keeps every edge at the node,
 the slot range and source execution satisfied, and no other row moves, so
 every schedule the loop holds is feasible and no round re-checks it.
 
-Bound bookkeeping: the log's r_underbar is the pricing value of each
-round, but psi_lower is held at a provable combinatorial floor on psi (see
-`attribution_lower_bound`) because the textbook update
-psi_upper + K * r_underbar is only heuristic here and can overshoot the
-true optimum.  A nonnegative-pricing exit is labelled optimal only when the
-upper bound meets that floor: psi_upper is the energy of a feasible
-decision and the floor is below every decision's energy, so the certificate
-rests on the bound alone.
+Bound bookkeeping: psi_upper is psi of the schedule, so a result keeps
+only psi_lower and exports its report's psi as psi_upper.  The log's
+r_underbar is the pricing value of each round, but psi_lower is held at a
+provable floor on psi (`attribution_lower_bound`) because the textbook
+update psi_upper + K * r_underbar can overshoot the true optimum.  The ratio
+exit reads epsilon from `params`.  A nonnegative-pricing exit is labelled
+optimal only when psi_upper, the energy of a feasible decision, meets the
+floor, which is below every decision's energy.
 """
 from __future__ import annotations
 
@@ -88,9 +88,7 @@ from .energy import (
     slot_table,
     worst_case_expected_energy,
 )
-from .graph import (
-    GraphValidationError, TaskGraph, topological_order, validate_graph, write_json, write_text,
-)
+from .graph import TaskGraph, check_graph, topological_order, write_json, write_text
 from .oracle import earliest_completion
 
 CERT_REL_TOL = 1e-12
@@ -202,6 +200,10 @@ class SolverState:
     location or slot changed since the previous update of the same arrays,
     and recomputes only the rows that node reaches; `moved=None` recomputes
     every row, which is what a state built or edited by hand needs.
+
+    Energy terms are read from the state's arrays only: `delta(node)`, a
+    move's psi change, sums the row table `row_delta` on demand, and
+    `attribution_lower_bound(state)` takes the floor from the energy arrays.
     """
 
     def __init__(self, graph: TaskGraph, params: SystemParams):
@@ -211,10 +213,9 @@ class SolverState:
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
         self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
-        self.edge_keys = [(e.src, e.dst) for e in graph.edges]
         self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
         self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
-        n_edges = len(self.edge_keys)
+        n_edges = len(graph.edges)
         self.all_edges = np.arange(n_edges)
 
         self.on_server = np.zeros(size, dtype=bool)
@@ -266,11 +267,16 @@ class SolverState:
         # (child rows).  base + row_shift is the window bound the row sets:
         # it adds the uplink from a client parent and takes off the downlink
         # to a client child.  row_energy is the transfer energy the move
-        # adds: the edge's, when the other node is on the client.
+        # adds: the edge's, when the other node is on the client.  row_delta
+        # is the move's change of the edge's psi term: that, or minus the
+        # edge's transfer the move removes when the other node is on the
+        # server.
         self.row_head = np.where(up, -self.exec_slots[1, inc_node], self.exec_slots[:, other])
         self.row_shift = np.where(up, [[z_up], [0]], [[-z_down], [0]])
+        up_term, down_term = self.up_energy[0, 1, inc_edge], self.down_energy[1, 0, inc_edge]
         self.row_energy = np.zeros((2, len(order)))
-        self.row_energy[0] = np.where(up, self.up_energy[0, 1, inc_edge], self.down_energy[1, 0, inc_edge])
+        self.row_energy[0] = np.where(up, up_term, down_term)
+        self.row_delta = np.stack([self.row_energy[0], -np.where(up, down_term, up_term)])
         self.t_floor = np.maximum(self.exec_slots[1], 1)
 
         self.margin = np.zeros(n_edges, dtype=np.int64)
@@ -280,9 +286,6 @@ class SolverState:
         self.t_max = np.full(size, params.deadline_slots, dtype=np.int64)
         self.tr = np.zeros(size)
         self.offset_base = np.zeros(len(order), dtype=np.int64)
-
-    def location(self, node: int) -> str:
-        return SERVER if self.on_server[node] else CLIENT
 
     def decision(self) -> OffloadDecision:
         server = self.on_server[self.ids].tolist()
@@ -327,6 +330,17 @@ class SolverState:
         self.up.update(edges, self.up_energy[s, d, edges])
         self.down.update(edges, self.down_energy[s, d, edges])
         return self.local.value() + self.up.value() + self.down.value()
+
+    def delta(self, node: int) -> float:
+        """Exact psi change from relocating `node` to the server: minus its
+        local term, then its row terms one at a time in row order, which is
+        the order, and so the value, of a walk over its parents and children."""
+        rows = np.arange(self.ptr[node], self.ptr[node + 1])
+        loc = self.on_server.view(np.uint8)[self.inc_other[rows]]
+        change = -float(self.local_energy[0, node])
+        for term in self.row_delta[loc, rows].tolist():
+            change += term
+        return change
 
     def refresh(self, moved: int | None = None) -> None:
         """Bring each node's window, transfer energy and offsets up to date.
@@ -408,17 +422,13 @@ class IterationRecord:
     admitted_node: int | None
 
 
-@dataclass(frozen=True)
-class Bounds:
-    psi_lower: float
-    psi_upper: float
-
-
 @dataclass
 class SolveResult:
+    """A solve's decision and report; its upper bound is `report.psi`."""
+
     decision: OffloadDecision
     report: EnergyReport
-    bounds: Bounds
+    psi_lower: float
     iterations: int
     log: list[IterationRecord]
     exit_reason: str
@@ -488,67 +498,35 @@ def _price_all(state: SolverState, moved: int | None = None) -> PricingTable:
     return state.price(interior[~state.on_server[interior]], moved)
 
 
-def delta_psi(node: int, state: SolverState) -> float:
-    """Exact objective change from relocating `node` to the server."""
-    graph = state.graph
-    table, index = slot_table(graph, state.params), graph.edge_index
-    change = -table.local[node]
-    for parent in graph.parents[node]:
-        edge = index[(parent, node)]
-        change += table.up[edge] if state.location(parent) == CLIENT else -table.down[edge]
-    for child in graph.children[node]:
-        edge = index[(node, child)]
-        change += table.down[edge] if state.location(child) == CLIENT else -table.up[edge]
-    return change
-
-
-def attribution_lower_bound(graph: TaskGraph, params: SystemParams) -> float:
+def attribution_lower_bound(state: SolverState) -> float:
     """Provable lower bound on psi over all assignments, deadline ignored.
 
     Charge each node the cheaper of running locally or the transfer cost it
     can never avoid when offloaded: traffic from the (always local) entry
     node and to the (always local) final node.  Every assignment pays at
-    least this much, so the bound is safe to clamp psi_lower with.
+    least this much, so the bound is safe to clamp psi_lower with.  The
+    terms come from the state's energy arrays; node ids must be 1..N.
     """
-    table, index = slot_table(graph, params), graph.edge_index
-    n_last = graph.n_nodes
-    terms = []
-    for m in graph.modules:
-        local = table.local[m.id]
-        if m.id == 1 or m.id == n_last:
-            terms.append(local)
-            continue
-        pinned = 0.0
-        if 1 in graph.parents[m.id]:
-            pinned += table.up[index[(1, m.id)]]
-        if n_last in graph.children[m.id]:
-            pinned += table.down[index[(m.id, n_last)]]
-        terms.append(min(local, pinned))
-    return math.fsum(terms)
+    n_last = state.size - 1
+    from_entry, to_exit = state.src == 1, state.dst == n_last
+    pinned = np.zeros(state.size)
+    pinned[state.dst[from_entry]] = state.up_energy[0, 1, from_entry]
+    pinned[state.src[to_exit]] += state.down_energy[1, 0, to_exit]
+    pinned[[1, n_last]] = math.inf  # the entry and final nodes run locally
+    return math.fsum(np.minimum(state.local_energy[0], pinned)[state.ids].tolist())
 
 
-def checked_epsilon(graph: TaskGraph, params: SystemParams, epsilon: float | None) -> float:
-    """The epsilon a solve uses; raises on an out-of-range epsilon or an invalid graph."""
-    eps = params.epsilon if epsilon is None else epsilon
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1), got {eps}")
-    violations = validate_graph(graph)
-    if violations:
-        raise GraphValidationError(violations)
-    return eps
-
-
-def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
-    """Run the epsilon-bounded column-generation loop.
+def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
+    """Run the `params.epsilon`-bounded column-generation loop.
 
     Each round: refresh the master's margins, bound and duals, price one
     column, update the bound pair, test the three exit conditions, then
     either admit the column at its chosen slot or blacklist it.  At most
     N - 2 admissions can ever happen, so the loop terminates.
     """
-    eps = checked_epsilon(graph, params, epsilon)
+    check_graph(graph)
     state = initial_rmp(graph, params)
-    psi_floor = attribution_lower_bound(graph, params)
+    psi_floor = attribution_lower_bound(state)
     log: list[IterationRecord] = []
     exit_reason: str | None = None
     # The node admitted since the last priced round (None: a fresh state),
@@ -581,9 +559,9 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
             exit_reason = EXIT_NO_COLUMN
         elif r_scan >= 0.0:
             exit_reason = EXIT_PRICING_NONNEG
-        elif state.psi_upper <= (1.0 + eps) * state.psi_lower:
+        elif state.psi_upper <= (1.0 + params.epsilon) * state.psi_lower:
             exit_reason = EXIT_RATIO
-        elif delta_psi(column.node, state) < 0.0:
+        elif state.delta(column.node) < 0.0:
             admitted = moved = column.node
             state.on_server[admitted] = True
             state.schedule[admitted] = column.slot
@@ -608,20 +586,20 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
     return SolveResult(
         decision=decision,
         report=report,
-        bounds=Bounds(psi_lower=state.psi_lower, psi_upper=state.psi_upper),
+        psi_lower=state.psi_lower,
         iterations=state.iterations,
         log=log,
         exit_reason=exit_reason,
         optimal_certified=certified,
-        epsilon=eps,
+        epsilon=params.epsilon,
     )
 
 
 def decision_export_dict(result: SolveResult) -> dict:
     return {
         "psi": result.report.psi,
-        "psi_lower": result.bounds.psi_lower,
-        "psi_upper": result.bounds.psi_upper,
+        "psi_lower": result.psi_lower,
+        "psi_upper": result.report.psi,
         "epsilon": result.epsilon,
         "iterations": result.iterations,
         "exit_reason": result.exit_reason,

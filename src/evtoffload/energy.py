@@ -18,6 +18,7 @@ from .graph import TaskGraph, write_json
 
 CLIENT = "client"
 SERVER = "server"
+MAX_DEADLINE_SLOTS = (2**63 - 1) // 3 - 1
 
 
 class InfeasibleError(Exception):
@@ -35,6 +36,12 @@ class SystemParams:
     Defaults mirror the reference experiment settings: a 1.5 GHz client,
     2.4 GHz server VM, 1 ms slots with a 5000-slot deadline, and worst-case
     transfer quantiles/energy coefficients fitted at eps_m = 0.1.
+
+    `deadline_slots` T lies in 1..`MAX_DEADLINE_SLOTS` = (2**63 - 1) // 3 - 1.
+    The replay and the pricing windows each add three slot counts capped at
+    T + 1, which stays exact in int64 as 3 * (T + 1) <= 2**63 - 1.  (The
+    replay's transfer cap is T + 1 as a double: it rounds down near the
+    ceiling, and further below the headroom exceeds its rounding.)
     """
 
     f_c_hz: float = 1.5e9
@@ -69,8 +76,9 @@ class SystemParams:
         for name, value in positive.items():
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.deadline_slots < 1:
-            raise ValueError(f"deadline_slots must be >= 1, got {self.deadline_slots}")
+        if not 1 <= self.deadline_slots <= MAX_DEADLINE_SLOTS:
+            raise ValueError(f"deadline_slots must lie in 1..{MAX_DEADLINE_SLOTS}, "
+                             f"got {self.deadline_slots}")
         for name, value in (("eps_m_up", self.eps_m_up), ("eps_m_down", self.eps_m_down)):
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value}")

@@ -120,7 +120,8 @@ def gev_cdf(params: GevParams, z) -> float | np.ndarray:
 
 
 def gev_quantile(params: GevParams, eps_m: float) -> float:
-    """Value exceeded with probability eps_m: Pr(Z >= z) = eps_m."""
+    """Value exceeded with probability eps_m: Pr(Z >= z) = eps_m; +-inf when
+    it lies beyond float range."""
     if not 0.0 < eps_m < 1.0:
         raise ValueError(f"eps_m must lie in (0, 1), got {eps_m}")
     # y = -log(1 - eps_m), computed without cancellation for small eps_m
@@ -129,7 +130,10 @@ def gev_quantile(params: GevParams, eps_m: float) -> float:
     if abs(xi) < XI_ZERO_TOL:
         return mu - sigma * math.log(y)
     # mu - (sigma/xi) * (1 - y**-xi)  ==  mu + (sigma/xi) * expm1(-xi*log(y))
-    return mu + sigma / xi * math.expm1(-xi * math.log(y))
+    try:
+        return mu + sigma / xi * math.expm1(-xi * math.log(y))
+    except OverflowError:  # beyond float range, on the side sigma / xi points to
+        return math.copysign(math.inf, xi)
 
 
 def gev_mean(params: GevParams) -> float:

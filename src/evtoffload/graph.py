@@ -146,6 +146,13 @@ def validate_graph(graph: TaskGraph) -> list[str]:
     return list(graph._violations)
 
 
+def check_graph(graph: TaskGraph) -> None:
+    """Raise `GraphValidationError` naming every violation `validate_graph` finds."""
+    violations = validate_graph(graph)
+    if violations:
+        raise GraphValidationError(violations)
+
+
 def _find_violations(graph: TaskGraph) -> list[str]:
     violations: list[str] = []
     ids = [m.id for m in graph.modules]
@@ -249,9 +256,7 @@ def load_graph(path: str | Path) -> TaskGraph:
     except json.JSONDecodeError as exc:
         raise SchemaError(f"malformed JSON: {exc}") from exc
     graph = graph_from_dict(data)
-    violations = validate_graph(graph)
-    if violations:
-        raise GraphValidationError(violations)
+    check_graph(graph)
     return graph
 
 

@@ -11,16 +11,16 @@ so Dinic's flow is exact.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
+from dataclasses import replace
 
 from . import colgen
-from .colgen import Bounds, SolveResult
+from .colgen import SolveResult
 from .energy import (
     CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams, slot_table,
     worst_case_expected_energy,
 )
-from .graph import TaskGraph
+from .graph import TaskGraph, check_graph
 from .oracle import cheapest_feasible, earliest_completion
 
 EXIT_MINCUT = "mincut"
@@ -106,7 +106,7 @@ def _max_flow(head: list[int], cap: list[int], adj: list[list[int]]) -> int:
                 nxt[v] += 1
 
 
-def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) -> SolveResult:
+def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
     """The min cut, certified optimal, when its schedule meets the deadline.
 
     Otherwise, on a chain, the cheapest feasible contiguous offload window
@@ -114,29 +114,27 @@ def solve(graph: TaskGraph, params: SystemParams, epsilon: float | None = None) 
     Either way psi_lower is at least the cut, rounded down and shrunk by
     2**-50 so that it stays below the float psi of every feasible decision.
     """
-    eps = colgen.checked_epsilon(graph, params, epsilon)
+    check_graph(graph)
     server, cut, scale = min_cut(graph, params)
     location = dict.fromkeys(graph.node_ids, CLIENT) | dict.fromkeys(server, SERVER)
     schedule = earliest_completion(graph, location, params)
     if schedule.feasible:
         decision = OffloadDecision(location=location, slot=schedule.slots)
         report = worst_case_expected_energy(graph, decision, params)
-        bounds = Bounds(report.psi, report.psi)
-        return SolveResult(decision, report, bounds, 0, [], EXIT_MINCUT, True, eps)
+        return SolveResult(decision, report, report.psi, 0, [], EXIT_MINCUT, True, params.epsilon)
     floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
     n = graph.n_nodes
     if graph.edge_index.keys() == {(i, i + 1) for i in range(1, n)}:
         windows = [()] + [range(u, v + 1) for u in range(2, n) for v in range(u, n)]
         local = dict.fromkeys(graph.node_ids, CLIENT)
         locations = (local | dict.fromkeys(w, SERVER) for w in windows)
-        decision, psi, _ = cheapest_feasible(graph, locations, params)
+        decision, _, _ = cheapest_feasible(graph, locations, params)
         if decision is None:
             raise InfeasibleError("no offload window (including all-local) meets the deadline")
         report = worst_case_expected_energy(graph, decision, params)
-        return SolveResult(decision, report, Bounds(floor, psi), 0, [], EXIT_WINDOW, False, eps)
-    result = colgen.solve(graph, params, eps)
-    bounds = Bounds(max(result.bounds.psi_lower, floor), result.bounds.psi_upper)
-    return dataclasses.replace(result, bounds=bounds)
+        return SolveResult(decision, report, floor, 0, [], EXIT_WINDOW, False, params.epsilon)
+    result = colgen.solve(graph, params)
+    return replace(result, psi_lower=max(result.psi_lower, floor))
 
 
 def _round_down(numer: int, denom: int) -> float:

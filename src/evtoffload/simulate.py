@@ -326,10 +326,12 @@ def monte_carlo(
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
     replay = _Replay(graph, decision, model, params)
-    threshold = {
-        "up": params.z_up_slots * params.delta_s,
-        "down": params.z_down_slots * params.delta_s,
-    }
+    threshold = {}
+    for direction, slots in (("up", params.z_up_slots), ("down", params.z_down_slots)):
+        try:
+            threshold[direction] = slots * params.delta_s
+        except OverflowError:  # a slot count beyond float range
+            threshold[direction] = math.inf
     energies = np.empty(replications)
     violations = 0
     exceed = {d: np.zeros(len(replay.bits[d]), dtype=np.int64) for d in threshold}

@@ -159,7 +159,7 @@ def sandwich_runs():
         instance_runs = []
         try:
             for eps in (0.0, 0.05):
-                instance_runs.append((eps, solve(graph, params, eps)))
+                instance_runs.append((eps, solve(graph, params.replace(epsilon=eps))))
         except InfeasibleError:
             continue
         oracle = brute_force_optimum(graph, params)
@@ -200,7 +200,7 @@ def test_criterion_4_epsilon_certificates(sandwich_runs):
         for eps, result in instance_runs:
             if result.exit_reason == EXIT_RATIO:
                 ratio_exits += 1
-                if not result.bounds.psi_upper <= (1.0 + eps) * result.bounds.psi_lower:
+                if not result.report.psi <= (1.0 + eps) * result.psi_lower:
                     violations += 1
             if result.exit_reason == EXIT_PRICING_NONNEG and result.optimal_certified:
                 certified_exits += 1
@@ -325,7 +325,7 @@ def test_criterion_7_eps_m_trend():
             z_up_s=gev_quantile(v_up, eps_m),
             z_down_s=gev_quantile(v_down, eps_m),
         )
-        result = solve(graph, params, 0.03)
+        result = solve(graph, params)
         offloaded = len(result.decision.server_set())
         offload_pcts.append(100.0 * offloaded / (graph.n_nodes - 2))
         psis.append(result.report.psi)

@@ -9,7 +9,7 @@ import pytest
 
 from evtoffload import cli
 from evtoffload.cli import main
-from evtoffload.energy import SystemParams
+from evtoffload.energy import MAX_DEADLINE_SLOTS, SystemParams
 from evtoffload.gev import (
     GevParams,
     block_maxima,
@@ -424,19 +424,42 @@ def test_energy_total_beyond_float_range_gives_error_exit(tmp_path, capsys, case
     dag.write_text(json.dumps(data))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(values))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = ["--config", str(config)] + _command_argv(tmp_path, command)
+    assert main(argv + ["--dag", str(dag), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("deadline", [MAX_DEADLINE_SLOTS + 1, 2**63 - 1, 10**30],
+                         ids=["ceiling-plus-1", "int64-max", "1e30"])
+@pytest.mark.parametrize("command", ["cg", "auto", "oracle", "simulate"])
+def test_deadline_beyond_int64_headroom_gives_error_exit(tmp_path, capsys, command, deadline):
+    # The replay and the pricing windows add three slot counts capped at
+    # T + 1, so every command refuses a T whose sum leaves int64.
+    dag = _gen_dag(tmp_path, nodes=6, seed=0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"deadline_slots": deadline}))
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    argv = ["--config", str(config)] + _command_argv(tmp_path, command)
+    assert main(argv + ["--dag", str(dag), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: deadline_slots must lie in 1..")
+    assert not out.exists()
+
+
+def _command_argv(tmp_path, command: str) -> list[str]:
+    """`command`'s arguments but --dag and --out; simulate replays an
+    all-client decision of a 6-node DAG under a model in `tmp_path`."""
     decision = tmp_path / "decision.json"
     decision.write_text(json.dumps(_decision_nodes()))
-    argv = {
+    return {
         "cg": ["solve", "--policy", "cg"],
         "auto": ["solve", "--policy", "auto"],
         "oracle": ["oracle"],
         "simulate": ["simulate", "--decision", str(decision), "--model", str(_write_model(tmp_path))],
     }[command]
-    out = tmp_path / "out.json"
-    capsys.readouterr()
-    assert main(["--config", str(config)] + argv + ["--dag", str(dag), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
 
 
 _GEV = {"mu": 2.0, "sigma": 0.01, "xi": 0.05}
@@ -465,6 +488,7 @@ def _two_node_dag(entry: dict | None = None, edge: dict | None = None) -> dict:
         ("gev", json.dumps({"v_down": _GEV})),
         ("gev", json.dumps({"v_up": {"mu": 2.0, "sigma": 0.01}, "v_down": _GEV})),
         ("gev", json.dumps({"v_up": {"mu": "a", "sigma": 0.01, "xi": 0.05}, "v_down": _GEV})),
+        ("gev", json.dumps({"v_up": {"mu": 0.1, "sigma": 0.01, "xi": 200}, "v_down": _GEV})),
         ("dag", json.dumps(_two_node_dag(entry={"id": True}))),
         ("dag", json.dumps(_two_node_dag(entry={"workload_cycles": False}))),
         ("dag", json.dumps(_two_node_dag(edge={"from": True}))),
@@ -472,7 +496,7 @@ def _two_node_dag(entry: dict | None = None, edge: dict | None = None) -> dict:
         ("decision", json.dumps(_decision_nodes(1, id=True))),
         ("decision", json.dumps(_decision_nodes(2, slot=2.7))),
     ],
-    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi", "gev-string-mu",
+    ids=["config-list", "model-list", "gev-no-v_up", "gev-no-xi", "gev-string-mu", "gev-xi-200",
          "dag-bool-id", "dag-bool-workload", "dag-bool-from",
          "decision-string-id", "decision-bool-id", "decision-float-slot"],
 )

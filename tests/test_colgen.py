@@ -9,7 +9,6 @@ from evtoffload.colgen import (
     _price_all,
     _zeta,
     attribution_lower_bound,
-    delta_psi,
     initial_rmp,
     solve,
     solve_rmp,
@@ -20,6 +19,7 @@ from evtoffload.energy import (
     InfeasibleError,
     check_constraints,
     exec_slots,
+    slot_table,
     worst_case_expected_energy,
 )
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule, load_graph
@@ -40,7 +40,7 @@ def _hand_state(graph, params, schedule, duals, server=()):
 
 def _set_duals(state, duals):
     """Price the edges named in `duals`, every other edge at 0."""
-    state.duals = np.array([duals.get(key, 0.0) for key in state.edge_keys])
+    state.duals = np.array([duals.get((e.src, e.dst), 0.0) for e in state.graph.edges])
 
 
 def _priced(node, state):
@@ -104,7 +104,7 @@ def test_initial_rmp_starts_from_earliest_completion_when_serial_misses():
     state = initial_rmp(graph, params)
     assert state.decision().slot == {1: 1, 2: 3, 3: 4, 4: 5, 5: 8, 6: 9}
     assert check_constraints(graph, state.decision(), params) == []
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     assert check_constraints(graph, result.decision, params) == []
     with pytest.raises(InfeasibleError, match="deadline too tight"):
         initial_rmp(graph, toy_params(f_c_hz=1.0, deadline_slots=8))
@@ -117,7 +117,7 @@ def test_solve_rmp_base_state():
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
     psi_u, prices, schedule = solve_rmp(state)
-    duals = dict(zip(state.edge_keys, prices.tolist()))
+    duals = dict(zip(graph.edge_index, prices.tolist()))
     assert psi_u == worst_case_expected_energy(graph, state.decision(), params).psi
     assert set(duals) == {(1, 2), (2, 3)}
     assert all(np.isfinite(v) and v >= 0 for v in duals.values())
@@ -294,9 +294,10 @@ def test_td_child_duals_pull_to_earliest_slot():
 def _enumerate_bip(node, state, graph, params):
     """Literal slot enumeration with explicit constraint checks."""
     best = None
+    location = state.decision().location
     slots = {
         n: exec_slots(graph.workload(n), params.f_c_hz, params.delta_s)
-        if state.location(n) == CLIENT
+        if location[n] == CLIENT
         else exec_slots(graph.workload(n), params.f_s_hz, params.delta_s)
         for n in graph.node_ids
     }
@@ -304,11 +305,11 @@ def _enumerate_bip(node, state, graph, params):
     for t in range(1, params.deadline_slots + 1):
         ok = True
         for m in graph.parents[node]:
-            need = params.z_up_slots if state.location(m) == CLIENT else 0
+            need = params.z_up_slots if location[m] == CLIENT else 0
             if t - state.schedule[m] - exec_server < need:
                 ok = False
         for k in graph.children[node]:
-            need = params.z_down_slots if state.location(k) == CLIENT else 0
+            need = params.z_down_slots if location[k] == CLIENT else 0
             if state.schedule[k] - t - slots[k] < need:
                 ok = False
         if not ok:
@@ -383,6 +384,20 @@ def test_npp_dominates_full_grid(seed):
 
 # --- energy delta ------------------------------------------------------------
 
+def _walked_delta(node, state):
+    """The psi change of moving `node`, by a walk over its parents and children."""
+    graph, table = state.graph, slot_table(state.graph, state.params)
+    location = state.decision().location
+    change = -table.local[node]
+    for parent in graph.parents[node]:
+        edge = graph.edge_index[(parent, node)]
+        change += table.up[edge] if location[parent] == CLIENT else -table.down[edge]
+    for child in graph.children[node]:
+        edge = graph.edge_index[(node, child)]
+        change += table.down[edge] if location[child] == CLIENT else -table.up[edge]
+    return change
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_delta_psi_matches_recomputation(seed):
     rng = np.random.default_rng(60 + seed)
@@ -401,7 +416,8 @@ def test_delta_psi_matches_recomputation(seed):
         state.on_server[node] = True
         after = worst_case_expected_energy(graph, state.decision(), params).psi
         state.on_server[node] = False
-        assert delta_psi(node, state) == pytest.approx(after - before, rel=1e-9)
+        assert state.delta(node) == pytest.approx(after - before, rel=1e-9)
+        assert state.delta(node).hex() == _walked_delta(node, state).hex()
 
 
 # --- full solve --------------------------------------------------------------
@@ -421,17 +437,17 @@ def _transfer_dominated_fan():
 
 def test_solve_all_local_when_transfers_dominate():
     graph, params = _transfer_dominated_fan()
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     assert result.decision.server_set() == set()
     assert len(result.log) == 1  # one pricing round
     assert result.exit_reason == EXIT_PRICING_NONNEG
     assert result.optimal_certified
-    assert result.bounds.psi_lower == result.bounds.psi_upper
+    assert result.psi_lower == result.report.psi
 
 
 def test_solve_certified_matches_oracle():
     graph, params = _transfer_dominated_fan()
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     oracle = brute_force_optimum(graph, params)
     assert result.report.psi == pytest.approx(oracle.psi_star, rel=1e-12)
 
@@ -466,10 +482,10 @@ def test_solve_ratio_exit_certificate():
         z_down_s=1.0,
         deadline_slots=400,
     )
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     assert result.decision.server_set() == {2}
     assert result.exit_reason == EXIT_RATIO
-    assert result.bounds.psi_upper <= (1.0 + result.epsilon) * result.bounds.psi_lower
+    assert result.report.psi <= (1.0 + result.epsilon) * result.psi_lower
 
 
 def test_solve_smart_diagnosis_offloads_heavy_branches():
@@ -477,7 +493,7 @@ def test_solve_smart_diagnosis_offloads_heavy_branches():
     from evtoffload.energy import SystemParams
 
     params = SystemParams()  # reference defaults: eps_m = 0.1
-    result = solve(graph, params, 0.03)
+    result = solve(graph, params)
     offloaded = result.decision.server_set()
     assert {3, 4, 5, 6, 9, 10} <= offloaded
     assert {1, 14} & offloaded == set()
@@ -492,7 +508,7 @@ def test_solve_admitted_slot_within_precomputed_window():
     state = initial_rmp(graph, params)
     solve_rmp(state)
     window = _priced(2, state)[:2]
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     assert result.decision.server_set() == {2}
     assert window[0] <= result.decision.slot[2] <= window[1]
 
@@ -500,14 +516,14 @@ def test_solve_admitted_slot_within_precomputed_window():
 def test_solve_rejects_bad_epsilon():
     graph = chain_graph([1, 1, 1], [1, 1])
     with pytest.raises(ValueError):
-        solve(graph, toy_params(f_c_hz=1.0), 1.0)
+        solve(graph, toy_params(f_c_hz=1.0, epsilon=1.0))
 
 
 def test_solve_monotone_upper_bound_and_termination():
     for seed in range(20):
         graph, params = random_small_instance(seed)
         try:
-            result = solve(graph, params, 0.0)
+            result = solve(graph, params)
         except InfeasibleError:
             continue
         uppers = [rec.psi_upper for rec in result.log]
@@ -518,8 +534,8 @@ def test_solve_monotone_upper_bound_and_termination():
 
 def test_solve_is_deterministic():
     graph, params = random_small_instance(3)
-    a = solve(graph, params, 0.0)
-    b = solve(graph, params, 0.0)
+    a = solve(graph, params)
+    b = solve(graph, params)
     assert a.decision.location == b.decision.location
     assert a.decision.slot == b.decision.slot
     assert a.log == b.log
@@ -529,7 +545,7 @@ def test_solve_is_deterministic():
 def test_attribution_bound_below_every_assignment():
     for seed in range(10):
         graph, params = random_small_instance(100 + seed)
-        floor = attribution_lower_bound(graph, params)
+        floor = attribution_lower_bound(SolverState(graph, params))
         try:
             oracle = brute_force_optimum(graph, params)
         except InfeasibleError:
@@ -545,6 +561,6 @@ def test_transfer_slots_beyond_int64_leave_nothing_to_offload():
         f_c_hz=1.0, f_s_hz=2.0, kappa=1.0, theta_up=0.001, theta_down=0.001,
         z_up_s=1e30, z_down_s=1e30, deadline_slots=100,
     )
-    result = solve(graph, params, 0.0)
+    result = solve(graph, params)
     assert result.decision.server_set() == set()
     assert result.exit_reason == "no_column"

@@ -71,6 +71,11 @@ def test_gumbel_quantile_at_ten_percent():
     assert z == pytest.approx(2.250367, abs=1e-6)
 
 
+def test_quantile_beyond_float_range_is_infinite():
+    assert gev_quantile(GevParams(0.1, 0.01, 200.0), 0.01) == math.inf
+    assert gev_quantile(GevParams(0.1, 0.01, -2000.0), 0.9) == -math.inf
+
+
 def test_quantile_rejects_bad_eps():
     for eps in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):

@@ -58,28 +58,27 @@ def _scaling_instance(n: int):
 
 
 def corpus():
-    """(key, graph, params, epsilon) for every `colgen.solve` input, in a fixed order."""
+    """(key, graph, params) for every `colgen.solve` input, in a fixed order."""
     for seed in range(260):
         graph, params = random_small_instance(seed)
         for eps in (0.0, 0.03):
-            yield f"small-{seed}-eps{eps}", graph, params, eps
+            yield f"small-{seed}-eps{eps}", graph, params.replace(epsilon=eps)
     for n in (100, 1000):
-        graph, params = _scaling_instance(n)
-        yield f"scaling-n{n}", graph, params, None
+        yield f"scaling-n{n}", *_scaling_instance(n)
     graph = load_graph(INSTANCE_DIR / "smart_diagnosis.json")
     for eps in (0.03, 0.0):
-        yield f"smart_diagnosis-eps{eps}", graph, SystemParams(), eps
+        yield f"smart_diagnosis-eps{eps}", graph, SystemParams(epsilon=eps)
     for seed in range(100):
-        yield f"binding-{seed}-eps0.03", *_binding_instance(seed), 0.03
+        yield f"binding-{seed}-eps0.03", *_binding_instance(seed, 0.03)
 
 
-def _binding_instance(seed: int):
+def _binding_instance(seed: int, eps: float):
     graph, params = random_small_instance(seed)
     local = earliest_completion(graph, dict.fromkeys(graph.node_ids, CLIENT), params)
-    return graph, params.replace(deadline_slots=max(local.slots.values()) + 2)
+    return graph, params.replace(deadline_slots=max(local.slots.values()) + 2, epsilon=eps)
 
 
-def _cut_missing_instance(kind: str, i: int):
+def _cut_missing_instance(kind: str, i: int, eps: float):
     """A random chain or fan whose deadline is 1-3 slots short of its min-cut schedule."""
     rng = np.random.default_rng(7000 + i)
     n = int(rng.integers(4, 9))
@@ -100,18 +99,19 @@ def _cut_missing_instance(kind: str, i: int):
     server, _, _ = mincut.min_cut(graph, params)
     location = dict.fromkeys(graph.node_ids, CLIENT) | dict.fromkeys(server, SERVER)
     cut_end = max(earliest_completion(graph, location, params).slots.values())
-    return graph, params.replace(deadline_slots=max(1, cut_end - 1 - i % 3))
+    return graph, params.replace(deadline_slots=max(1, cut_end - 1 - i % 3), epsilon=eps)
 
 
 def auto_corpus():
-    """(key, graph, params, epsilon) for every `mincut.solve` input."""
+    """(key, graph, params) for every `mincut.solve` input."""
     for seed in range(260):
-        yield f"auto-small-{seed}-eps0.03", *random_small_instance(seed), 0.03
+        graph, params = random_small_instance(seed)
+        yield f"auto-small-{seed}-eps0.03", graph, params.replace(epsilon=0.03)
     for seed in range(100):
-        yield f"auto-binding-{seed}-eps0.03", *_binding_instance(seed), 0.03
+        yield f"auto-binding-{seed}-eps0.03", *_binding_instance(seed, 0.03)
     for kind in ("chain", "fan"):
         for i in range(20):
-            yield f"auto-{kind}-{i}-eps0.03", *_cut_missing_instance(kind, i), 0.03
+            yield f"auto-{kind}-{i}-eps0.03", *_cut_missing_instance(kind, i, 0.03)
 
 
 _TRACE_MODELS = {
@@ -152,9 +152,9 @@ def replay_corpus():
             yield f"replay-{family}-small-{seed}", graph, decision, model, params
 
 
-def digest(solver, graph, params, eps, work: Path) -> str:
+def digest(solver, graph, params, work: Path) -> str:
     try:
-        result = solver(graph, params, eps)
+        result = solver(graph, params)
     except InfeasibleError as exc:
         return "infeasible: " + str(exc)
     write_decision_json(work / "decision.json", result)
@@ -173,8 +173,8 @@ def replay_digest(graph, decision, model, params, work: Path) -> str:
 def compute_digests() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        digests = {key: digest(colgen.solve, g, p, eps, work) for key, g, p, eps in corpus()}
-        digests |= {key: digest(mincut.solve, g, p, eps, work) for key, g, p, eps in auto_corpus()}
+        digests = {key: digest(colgen.solve, g, p, work) for key, g, p in corpus()}
+        digests |= {key: digest(mincut.solve, g, p, work) for key, g, p in auto_corpus()}
         digests |= {key: replay_digest(*case, work) for key, *case in replay_corpus()}
         return digests
 
@@ -201,20 +201,20 @@ def test_exports_do_not_depend_on_edge_order():
     changed = []
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for solver, key, graph, params, eps in cases:
+        for solver, key, graph, params in cases:
             edges = list(graph.edges)
             rng.shuffle(edges)
             shuffled = TaskGraph(graph.modules, edges)
-            if digest(solver, shuffled, params, eps, work) != digest(solver, graph, params, eps, work):
+            if digest(solver, shuffled, params, work) != digest(solver, graph, params, work):
                 changed.append(key)
     assert changed == [], f"{len(changed)} of {len(cases)} exports changed, first: {changed[:5]}"
 
 
 def test_auto_slice_reaches_every_exit():
     exits = set()
-    for _, graph, params, eps in auto_corpus():
+    for _, graph, params in auto_corpus():
         try:
-            exits.add(mincut.solve(graph, params, eps).exit_reason)
+            exits.add(mincut.solve(graph, params).exit_reason)
         except InfeasibleError:
             exits.add("infeasible")
     assert {mincut.EXIT_MINCUT, mincut.EXIT_WINDOW, colgen.EXIT_NO_COLUMN, "infeasible"} <= exits

@@ -180,9 +180,9 @@ def test_fan_falls_back_to_cg_under_tight_deadline():
     assert result.decision == cg.decision and result.log == cg.log
     _, cut, scale = mincut.min_cut(graph, params)
     floor = mincut._round_down(cut, scale) * (1 - 2.0**-50)
-    assert result.bounds.psi_lower == max(cg.bounds.psi_lower, floor)
-    assert result.bounds.psi_lower <= brute_force_optimum(graph, params).psi_star
-    assert result.bounds.psi_upper == cg.bounds.psi_upper
+    assert result.psi_lower == max(cg.psi_lower, floor)
+    assert result.psi_lower <= brute_force_optimum(graph, params).psi_star
+    assert result.report == cg.report
 
 
 def test_fallback_lower_bound_is_the_cut():
@@ -198,9 +198,9 @@ def test_fallback_lower_bound_is_the_cut():
     assert mincut.min_cut(graph, params)[0] == [2]
     result = mincut.solve(graph, params)
     cg = colgen.solve(graph, params)
-    assert cg.bounds.psi_lower == 4.0
-    assert result.bounds.psi_lower == 5.0 * (1 - 2.0**-50)
-    assert result.bounds.psi_upper == brute_force_optimum(graph, params).psi_star == 33.0
+    assert cg.psi_lower == 4.0
+    assert result.psi_lower == 5.0 * (1 - 2.0**-50)
+    assert result.report.psi == brute_force_optimum(graph, params).psi_star == 33.0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -209,17 +209,17 @@ def test_chain_cut_never_worse_than_cg(seed):
     graph = _random_chain(rng)
     params = _loose_params(rng, graph)
     cut_psi = mincut.solve(graph, params).report.psi
-    cg_psi = colgen.solve(graph, params, 0.0).report.psi
+    cg_psi = colgen.solve(graph, params).report.psi
     assert cut_psi <= cg_psi + 1e-9
 
 
 def test_cut_result_is_certified():
     graph = fan_graph([1, 8, 9, 1], [2, 2], [2, 2])
-    params = toy_params(theta_up=0.05, theta_down=0.02)
-    result = mincut.solve(graph, params, 0.03)
+    params = toy_params(theta_up=0.05, theta_down=0.02, epsilon=0.03)
+    result = mincut.solve(graph, params)
     assert result.decision.server_set() == {2, 3}
     assert result.optimal_certified
-    assert result.bounds.psi_lower == result.bounds.psi_upper == result.report.psi
+    assert result.psi_lower == result.report.psi
     assert (result.iterations, result.log, result.epsilon) == (0, [], 0.03)
 
 
@@ -235,8 +235,8 @@ def test_chain_offloads_when_local_execution_misses_the_deadline():
     result = mincut.solve(graph, params)
     assert result.decision.server_set() == {2}
     assert result.exit_reason == mincut.EXIT_WINDOW and not result.optimal_certified
-    assert result.report.psi == result.bounds.psi_upper == 202.0
-    assert result.bounds.psi_lower == 22.0 * (1 - 2.0**-50)
+    assert result.report.psi == 202.0
+    assert result.psi_lower == 22.0 * (1 - 2.0**-50)
     assert check_constraints(graph, result.decision, params) == []
     with pytest.raises(InfeasibleError, match="no offload window"):
         mincut.solve(graph, params.replace(deadline_slots=14))
@@ -357,8 +357,8 @@ def test_binding_deadlines_give_a_feasible_bracket(
     result = mincut.solve(graph, params)
     optimum = brute_force_optimum(graph, params).psi_star
     assert check_constraints(graph, result.decision, params) == []
-    assert result.report.psi == result.bounds.psi_upper
-    assert result.bounds.psi_lower <= optimum * (1 + 1e-12) and optimum <= result.bounds.psi_upper
+    assert all(rec.psi_upper == result.report.psi for rec in result.log[-1:])
+    assert result.psi_lower <= optimum * (1 + 1e-12) and optimum <= result.report.psi
     _, cut, scale = mincut.min_cut(graph, params)
     assert mincut._round_down(cut, scale) * (1 - 2.0**-50) <= optimum
     if result.exit_reason == mincut.EXIT_MINCUT:
@@ -368,8 +368,8 @@ def test_binding_deadlines_give_a_feasible_bracket(
     # certificate rests on psi_upper meeting its floor alone.
     cg = colgen.solve(graph, params)
     assert check_constraints(graph, cg.decision, params) == []
-    assert cg.report.psi == cg.bounds.psi_upper
-    assert cg.bounds.psi_lower <= optimum * (1 + 1e-12) and optimum <= cg.bounds.psi_upper
+    assert cg.log[-1].psi_upper == cg.report.psi
+    assert cg.psi_lower <= optimum * (1 + 1e-12) and optimum <= cg.report.psi
     if cg.optimal_certified:
         assert cg.report.psi == pytest.approx(optimum, rel=1e-12)
 
@@ -400,5 +400,5 @@ def test_chains_match_brute_force_at_any_deadline(
         return
     result = mincut.solve(graph, params)
     assert check_constraints(graph, result.decision, params) == []
-    assert result.report.psi == result.bounds.psi_upper == optimum
-    assert result.bounds.psi_lower <= optimum
+    assert result.report.psi == optimum
+    assert result.psi_lower <= optimum

@@ -33,17 +33,18 @@ def reference(node, state):
     """(slot, zeta) of the literal scan, or None for an empty window."""
     graph, params = state.graph, state.params
     slots = slot_table(graph, params)
-    schedule = state.decision().slot
-    duals = dict(zip(state.edge_keys, state.duals.tolist()))
+    decision = state.decision()
+    schedule, location = decision.slot, decision.location
+    duals = dict(zip(graph.edge_index, state.duals.tolist()))
     exec_server = slots.server[node]
     t_min = 0
     for parent in graph.parents[node]:
-        transfer = params.z_up_slots if state.location(parent) == CLIENT else 0
+        transfer = params.z_up_slots if location[parent] == CLIENT else 0
         t_min = max(t_min, schedule[parent] + transfer)
     t_min = max(t_min + exec_server, 1)
     t_max = params.deadline_slots
     for child in graph.children[node]:
-        loc = state.location(child)
+        loc = location[child]
         transfer = params.z_down_slots if loc == CLIENT else 0
         t_max = min(t_max, schedule[child] - transfer - slots.at(child, loc))
     if t_min > t_max:
@@ -51,13 +52,13 @@ def reference(node, state):
 
     transfer = par_sum = par_off = chi_sum = chi_off = 0.0
     for parent in graph.parents[node]:
-        if state.location(parent) == CLIENT:
+        if location[parent] == CLIENT:
             transfer += graph.bits(parent, node) * params.theta_up
         pi = duals.get((parent, node), 0.0)
         par_sum += pi
         par_off += pi * (schedule[parent] + exec_server)
     for child in graph.children[node]:
-        loc = state.location(child)
+        loc = location[child]
         if loc == CLIENT:
             transfer += graph.bits(node, child) * params.theta_down
         pi = duals.get((node, child), 0.0)

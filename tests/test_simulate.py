@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from evtoffload.energy import CLIENT, SERVER, OffloadDecision, TraceExhaustedError
+from evtoffload.energy import MAX_DEADLINE_SLOTS, CLIENT, SERVER, OffloadDecision, TraceExhaustedError
 from evtoffload.gev import GevParams, gev_quantile
 from evtoffload.graph import graph_to_dict, validate_graph
 from evtoffload.oracle import earliest_completion
@@ -176,6 +176,28 @@ def test_exceedance_calibration_quick():
     report = monte_carlo(graph, decision, model, params, 2000)
     for stats in report.edge_exceedance.values():
         assert abs(stats["rate"] - 0.1) < 0.03
+
+
+def test_planning_quantile_beyond_float_range_is_never_exceeded():
+    # 1e300 s in slots of 1e-300 s is a slot count beyond float range: the
+    # exceedance threshold reads inf.
+    graph = chain_graph([1, 2, 1], [10, 10])
+    params = toy_params(delta_s=1e-300, z_up_s=1e300, z_down_s=1e300, deadline_slots=10**8)
+    decision = OffloadDecision({1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 1, 2: 2, 3: 3})
+    report = monte_carlo(graph, decision, _model(), params, 20)
+    assert [stats["exceedances"] for stats in report.edge_exceedance.values()] == [0, 0]
+    assert report.deadline_violation_rate == 1.0
+
+
+def test_replay_at_the_deadline_ceiling_stays_in_int64():
+    # Execution and transfer slots all saturate at T + 1, so each completion
+    # adds three counts of T + 1 before it is capped, which int64 holds at
+    # the ceiling: every replication reads a violation, none wraps around.
+    graph = chain_graph([10**19] * 3, [10, 10])
+    params = toy_params(f_c_hz=1.0, f_s_hz=1.0, deadline_slots=MAX_DEADLINE_SLOTS)
+    decision = OffloadDecision({1: CLIENT, 2: SERVER, 3: CLIENT}, {1: 1, 2: 2, 3: 3})
+    model = _model(rate_up=_const(1e-300), rate_down=_const(1e-300), rate_floor_bps=1e-300)
+    assert monte_carlo(graph, decision, model, params, 5).deadline_violation_rate == 1.0
 
 
 def test_dist_spec_rejects_unknown_family():
