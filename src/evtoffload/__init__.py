@@ -13,7 +13,6 @@ from .energy import (
     worst_case_expected_energy,
 )
 from .gev import (
-    BlockMaxima,
     GevParams,
     SampleSet,
     block_maxima,

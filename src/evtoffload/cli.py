@@ -54,18 +54,11 @@ def _decision_from_file(path: str) -> OffloadDecision:
 
 
 def cmd_fit(args) -> int:
-    # The written config must load in every later command, so its eps_m
-    # values pass the check SystemParams makes.
-    SystemParams(eps_m_up=args.eps_m_up, eps_m_down=args.eps_m_down)
-    if not (args.paper_defaults or args.traces):
-        raise ValueError("fit needs --traces or --paper-defaults")
-    if args.paper_defaults:
-        defaults = dataclasses.asdict(SystemParams())
-        out = {key: defaults[key] for key in ("z_up_s", "z_down_s", "theta_up", "theta_down")}
-        out["eps_m_up"] = args.eps_m_up
-        out["eps_m_down"] = args.eps_m_down
-        write_json(args.out, out)
-        return 0
+    # Checked before the trace is read: a quantile needs eps_m in (0, 1).
+    for name in ("eps_m_up", "eps_m_down"):
+        value = getattr(args, name)
+        if not 0.0 < value < 1.0:
+            raise ValueError(f"{name} must lie in (0, 1), got {value}")
     samples = load_trace_samples(args.traces, args.payload_bits)
     fits: dict[str, GevParams] = {}
     for name, sample_set in samples.items():
@@ -164,8 +157,6 @@ def cmd_compare(args) -> int:
     rows = []
     for eps_m in eps_m_grid:
         swept = params.replace(
-            eps_m_up=eps_m,
-            eps_m_down=eps_m,
             z_up_s=gev_quantile(v_up, eps_m),
             z_down_s=gev_quantile(v_down, eps_m),
         )
@@ -198,13 +189,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("fit", help="fit GEV models to a trace CSV")
-    p.add_argument("--traces", help="trace CSV path")
+    p.add_argument("--traces", required=True, help="trace CSV path")
     p.add_argument("--k", type=int, default=1500, help="block size for maxima")
     p.add_argument("--eps-m-up", type=float, default=0.1, dest="eps_m_up")
     p.add_argument("--eps-m-down", type=float, default=0.1, dest="eps_m_down")
     p.add_argument("--payload-bits", type=float, default=12000.0, dest="payload_bits")
-    p.add_argument("--paper-defaults", action="store_true", dest="paper_defaults",
-                   help="emit the reference experiment constants instead of fitting")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fit)
 

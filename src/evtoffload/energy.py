@@ -49,8 +49,6 @@ class SystemParams:
     kappa: float = 1e-24
     delta_s: float = 1e-3
     deadline_slots: int = 5000
-    eps_m_up: float = 0.1
-    eps_m_down: float = 0.1
     z_up_s: float = 0.349
     z_down_s: float = 0.107
     theta_up: float = 4.81e-4
@@ -63,25 +61,13 @@ class SystemParams:
             if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
         object.__setattr__(self, "deadline_slots", as_integer("deadline_slots", self.deadline_slots))
-        positive = {
-            "f_c_hz": self.f_c_hz,
-            "f_s_hz": self.f_s_hz,
-            "kappa": self.kappa,
-            "delta_s": self.delta_s,
-            "z_up_s": self.z_up_s,
-            "z_down_s": self.z_down_s,
-            "theta_up": self.theta_up,
-            "theta_down": self.theta_down,
-        }
-        for name, value in positive.items():
+        for name in _FLOAT_FIELDS[:-1]:  # every float field but epsilon
+            value = getattr(self, name)
             if not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if not 1 <= self.deadline_slots <= MAX_DEADLINE_SLOTS:
             raise ValueError(f"deadline_slots must lie in 1..{MAX_DEADLINE_SLOTS}, "
                              f"got {self.deadline_slots}")
-        for name, value in (("eps_m_up", self.eps_m_up), ("eps_m_down", self.eps_m_down)):
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         # Converted once: the exact rational ceilings are too slow to redo on
@@ -119,8 +105,9 @@ class SystemParams:
         return SystemParams(**merged)
 
 
+# epsilon last: every float field before it must be positive.
 _FLOAT_FIELDS = (
-    "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
+    "f_c_hz", "f_s_hz", "kappa", "delta_s",
     "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
 )
 

@@ -75,7 +75,6 @@ class SampleSet:
     """Raw nonnegative samples of one random quantity, e.g. transfer seconds."""
 
     values: np.ndarray
-    unit: str = ""
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -86,13 +85,7 @@ class SampleSet:
         object.__setattr__(self, "values", arr)
 
 
-@dataclass(frozen=True)
-class BlockMaxima:
-    maxima: np.ndarray
-    block_size: int
-
-
-def block_maxima(samples: SampleSet, k: int) -> BlockMaxima:
+def block_maxima(samples: SampleSet, k: int) -> np.ndarray:
     """Maximum of each consecutive block of k samples; partial tail dropped."""
     if k < 1:
         raise ValueError(f"block size must be >= 1, got {k}")
@@ -100,8 +93,7 @@ def block_maxima(samples: SampleSet, k: int) -> BlockMaxima:
     if len(values) < k:
         raise ValueError(f"need at least {k} samples, got {len(values)}")
     n_blocks = len(values) // k
-    maxima = values[: n_blocks * k].reshape(n_blocks, k).max(axis=1)
-    return BlockMaxima(maxima=maxima, block_size=k)
+    return values[: n_blocks * k].reshape(n_blocks, k).max(axis=1)
 
 
 def gev_cdf(params: GevParams, z) -> float | np.ndarray:
@@ -290,7 +282,7 @@ def _mle_start(x: np.ndarray) -> np.ndarray:
     return np.array([mu, math.log(sigma), xi])
 
 
-def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
+def fit_gev_mle(maxima: np.ndarray, max_iter: int = 2000) -> GevParams:
     """Maximum-likelihood GEV fit by a damped Newton search from a PWM start.
 
     The search runs on (mu, log sigma, xi) with the likelihood's analytic
@@ -306,7 +298,7 @@ def fit_gev_mle(maxima: BlockMaxima, max_iter: int = 2000) -> GevParams:
     not converge within max_iter steps or no halving of a step lowers the
     likelihood.
     """
-    x = np.asarray(maxima.maxima, dtype=float)
+    x = np.asarray(maxima, dtype=float)
     if len(x) < 10:
         raise ValueError(f"need at least 10 block maxima, got {len(x)}")
     if float(np.max(x)) == float(np.min(x)):
@@ -347,7 +339,8 @@ def load_trace_samples(path: str | Path, payload_bits: float) -> dict[str, Sampl
     """Read a trace CSV into the four sample sets used for fitting.
 
     Row-wise: v_up = (queue_up + payload)/rate_up, v_down likewise on the
-    downlink, j = power_up/rate_up, h = power_down/rate_down.  The samples
+    downlink (seconds), j = power_up/rate_up, h = power_down/rate_down
+    (mW*s/bit).  The samples
     are derived in place, in the queue and power columns of the table read.
     """
     rows = _read_trace_rows(path)
@@ -364,10 +357,10 @@ def load_trace_samples(path: str | Path, payload_bits: float) -> dict[str, Sampl
         queue /= rate
         power /= rate
     return {
-        "v_up": SampleSet(q_up, unit="s"),
-        "v_down": SampleSet(q_dn, unit="s"),
-        "j": SampleSet(p_up, unit="mW*s/bit"),
-        "h": SampleSet(p_dn, unit="mW*s/bit"),
+        "v_up": SampleSet(q_up),
+        "v_down": SampleSet(q_dn),
+        "j": SampleSet(p_up),
+        "h": SampleSet(p_dn),
     }
 
 

@@ -102,7 +102,7 @@ def brute_force_optimum(graph: TaskGraph, params: SystemParams) -> OracleResult:
     n = graph.n_nodes
     if n > ORACLE_NODE_CAP:
         raise OracleCapError(f"oracle capped at {ORACLE_NODE_CAP} nodes, got {n}")
-    interior = graph.interior_ids()
+    interior = range(2, n)  # by id, whatever order the graph lists its nodes in
     total = 1 << len(interior)
     locations = (
         dict.fromkeys(graph.node_ids, CLIENT)

@@ -56,8 +56,6 @@ def toy_params(**overrides) -> SystemParams:
         kappa=1.0,
         delta_s=1.0,
         deadline_slots=100,
-        eps_m_up=0.1,
-        eps_m_down=0.1,
         z_up_s=2.0,
         z_down_s=1.0,
         theta_up=1.0,

@@ -17,7 +17,6 @@ from evtoffload.cli import main
 from evtoffload.colgen import EXIT_PRICING_NONNEG, EXIT_RATIO, solve
 from evtoffload.energy import CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams
 from evtoffload.gev import (
-    BlockMaxima,
     GevParams,
     SampleSet,
     block_maxima,
@@ -130,7 +129,7 @@ def test_criterion_2_mle_recovery():
         sigma = float(rng.uniform(0.3, 1.0))
         xi = 0.0 if i % 5 == 0 else float(rng.uniform(-0.3, 0.5))
         maxima = gev_sample(GevParams(mu, sigma, xi), np.random.default_rng(9000 + i), size=500)
-        fitted = fit_gev_mle(BlockMaxima(maxima, 1))
+        fitted = fit_gev_mle(maxima)
         if (
             abs(fitted.mu - mu) < 0.1
             and abs(fitted.sigma - sigma) < 0.1
@@ -320,8 +319,6 @@ def test_criterion_7_eps_m_trend():
     grid = [0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3]
     for eps_m in grid:
         params = base.replace(
-            eps_m_up=eps_m,
-            eps_m_down=eps_m,
             z_up_s=gev_quantile(v_up, eps_m),
             z_down_s=gev_quantile(v_down, eps_m),
         )

@@ -127,16 +127,6 @@ def test_oracle_export_carries_enumeration_count(tmp_path):
     assert 1 <= data["feasible_count"] <= data["assignments_enumerated"]
 
 
-def test_fit_paper_defaults(tmp_path):
-    out = tmp_path / "fit.json"
-    assert main(["fit", "--paper-defaults", "--out", str(out)]) == 0
-    data = json.loads(out.read_text())
-    assert data["z_up_s"] == 0.349
-    assert data["z_down_s"] == 0.107
-    assert data["theta_up"] == 4.81e-4
-    assert data["theta_down"] == 1.11e-5
-
-
 def _write_trace_csv(path: Path, n_rows=4000, seed=2):
     rng = np.random.default_rng(seed)
     v = gev_sample(GevParams(2.0, 0.4, 0.1), rng, size=n_rows)
@@ -203,7 +193,6 @@ def test_commands_other_than_fitting_never_load_scipy(tmp_path):
     out = str(tmp_path / "out.json")
     commands = [
         ["gen", "--nodes", "6", "--out", out],
-        ["fit", "--paper-defaults", "--out", out],
         ["solve", "--dag", str(dag), "--out", out],
         ["solve", "--policy", "auto", "--dag", str(dag), "--out", out],
         ["oracle", "--dag", str(dag), "--out", out],
@@ -240,10 +229,10 @@ def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
     # A fitted xi >= 1 has no finite mean: fit must fail before writing.
     trace = tmp_path / "trace.csv"
     _write_trace_csv(trace)
-    j_maxima = block_maxima(load_trace_samples(trace, 10000.0)["j"], 20).maxima
+    j_maxima = block_maxima(load_trace_samples(trace, 10000.0)["j"], 20)
 
     def fake_fit(maxima):
-        xi = 1.2 if np.array_equal(maxima.maxima, j_maxima) else 0.1
+        xi = 1.2 if np.array_equal(maxima, j_maxima) else 0.1
         return GevParams(1.0, 0.1, xi)
 
     monkeypatch.setattr(cli, "fit_gev_mle", fake_fit)
@@ -257,17 +246,22 @@ def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
 
 def test_fit_without_traces_or_paper_defaults_fails(tmp_path, capsys):
     out = tmp_path / "fit.json"
-    assert main(["fit", "--out", str(out)]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fit", "--out", str(out)])
+    assert excinfo.value.code == 2
     assert not out.exists()
-    assert "error: fit needs --traces or --paper-defaults" in capsys.readouterr().err
+    assert "error: the following arguments are required: --traces" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", ["--eps-m-up", "--eps-m-down"])
 @pytest.mark.parametrize("value", ["7", "0", "1", "-0.1"])
 def test_fit_rejects_eps_m_outside_unit_interval(tmp_path, capsys, flag, value):
-    # The config would be refused by every later command, so none is written.
+    # No quantile lies there, so nothing is written.
+    trace = tmp_path / "trace.csv"
+    _write_trace_csv(trace)
     out = tmp_path / "fit.json"
-    assert main(["fit", "--paper-defaults", flag, value, "--out", str(out)]) == 2
+    args = ["fit", "--traces", str(trace), "--k", "20", "--payload-bits", "10000", flag, value]
+    assert main(args + ["--out", str(out)]) == 2
     assert not out.exists()
     name = flag[2:].replace("-", "_")
     assert f"error: {name} must lie in (0, 1)" in capsys.readouterr().err

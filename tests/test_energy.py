@@ -135,8 +135,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SystemParams(deadline_slots=0)
     with pytest.raises(ValueError):
-        SystemParams(eps_m_up=1.0)
-    with pytest.raises(ValueError):
         SystemParams(epsilon=1.0)
     assert SystemParams(deadline_slots=MAX_DEADLINE_SLOTS).deadline_slots == (2**63 - 1) // 3 - 1
     for deadline in (MAX_DEADLINE_SLOTS + 1, 2**63 - 1, 10**30):
@@ -145,7 +143,7 @@ def test_params_validation():
 
 
 FLOAT_FIELDS = [
-    "f_c_hz", "f_s_hz", "kappa", "delta_s", "eps_m_up", "eps_m_down",
+    "f_c_hz", "f_s_hz", "kappa", "delta_s",
     "z_up_s", "z_down_s", "theta_up", "theta_down", "epsilon",
 ]
 
@@ -198,7 +196,7 @@ def test_params_rejects_unknown_keys(tmp_path):
         SystemParams.from_json(path)
 
 
-@pytest.mark.parametrize("key", ["seed", "block_size_k"])
+@pytest.mark.parametrize("key", ["seed", "block_size_k", "eps_m_up", "eps_m_down"])
 def test_params_have_no_unread_keys(tmp_path, key):
     path = tmp_path / "cfg.json"
     path.write_text(f'{{"{key}": 1}}')

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq, minimize
 
 from evtoffload.gev import (
-    BlockMaxima,
     DegenerateSampleError,
     GevParams,
     SampleSet,
@@ -30,19 +29,19 @@ EULER_GAMMA = 0.5772156649015329
 # --- block maxima -----------------------------------------------------------
 
 def test_block_maxima_direct():
-    bm = block_maxima(SampleSet(np.array([1.0, 5, 3, 2, 4, 6])), 3)
-    assert bm.maxima.tolist() == [5.0, 6.0]
+    maxima = block_maxima(SampleSet(np.array([1.0, 5, 3, 2, 4, 6])), 3)
+    assert maxima.tolist() == [5.0, 6.0]
 
 
 def test_block_maxima_k1_identity():
     values = np.array([3.0, 1.0, 4.0])
-    bm = block_maxima(SampleSet(values), 1)
-    assert bm.maxima.tolist() == values.tolist()
+    maxima = block_maxima(SampleSet(values), 1)
+    assert maxima.tolist() == values.tolist()
 
 
 def test_block_maxima_truncates_partial_block():
-    bm = block_maxima(SampleSet(np.arange(7.0)), 3)
-    assert len(bm.maxima) == 2
+    maxima = block_maxima(SampleSet(np.arange(7.0)), 3)
+    assert len(maxima) == 2
 
 
 @pytest.mark.parametrize("k,count", [(0, 5), (6, 5)])
@@ -190,41 +189,41 @@ def _synthetic_maxima(params: GevParams, n: int, seed: int) -> np.ndarray:
 
 def test_fit_recovers_known_params():
     true = GevParams(2.0, 0.5, 0.1)
-    fitted = fit_gev_mle(BlockMaxima(_synthetic_maxima(true, 500, 11), 1))
+    fitted = fit_gev_mle(_synthetic_maxima(true, 500, 11))
     assert abs(fitted.mu - 2.0) < 0.1
     assert abs(fitted.sigma - 0.5) < 0.1
     assert abs(fitted.xi - 0.1) < 0.15
 
 
 def test_fit_recovers_gumbel_shape():
-    fitted = fit_gev_mle(BlockMaxima(_synthetic_maxima(GevParams(0.0, 1.0, 0.0), 500, 12), 1))
+    fitted = fit_gev_mle(_synthetic_maxima(GevParams(0.0, 1.0, 0.0), 500, 12))
     assert abs(fitted.xi) < 0.15
 
 
 def test_fit_rejects_degenerate_input():
-    bm = block_maxima(SampleSet(np.full(30, 3.0)), 1)
+    maxima = block_maxima(SampleSet(np.full(30, 3.0)), 1)
     with pytest.raises(DegenerateSampleError):
-        fit_gev_mle(bm)
+        fit_gev_mle(maxima)
 
 
 def test_fit_rejects_tiny_samples():
-    bm = block_maxima(SampleSet(np.arange(5.0)), 1)
+    maxima = block_maxima(SampleSet(np.arange(5.0)), 1)
     with pytest.raises(ValueError, match="at least 10"):
-        fit_gev_mle(bm)
+        fit_gev_mle(maxima)
 
 
 def test_fit_improves_on_pwm_start():
-    bm = BlockMaxima(_synthetic_maxima(GevParams(1.0, 0.7, -0.2), 400, 13), 1)
-    fitted = fit_gev_mle(bm)
-    start_nll = gev_neg_log_likelihood(pwm_start(bm.maxima), bm.maxima)
-    fit_nll = gev_neg_log_likelihood((fitted.mu, fitted.sigma, fitted.xi), bm.maxima)
+    maxima = _synthetic_maxima(GevParams(1.0, 0.7, -0.2), 400, 13)
+    fitted = fit_gev_mle(maxima)
+    start_nll = gev_neg_log_likelihood(pwm_start(maxima), maxima)
+    fit_nll = gev_neg_log_likelihood((fitted.mu, fitted.sigma, fitted.xi), maxima)
     assert fit_nll <= start_nll
 
 
 def test_fit_support_holds_for_every_maximum():
-    bm = BlockMaxima(_synthetic_maxima(GevParams(3.0, 1.0, 0.4), 300, 14), 1)
-    fitted = fit_gev_mle(bm)
-    support = 1 + fitted.xi * (bm.maxima - fitted.mu) / fitted.sigma
+    maxima = _synthetic_maxima(GevParams(3.0, 1.0, 0.4), 300, 14)
+    fitted = fit_gev_mle(maxima)
+    support = 1 + fitted.xi * (maxima - fitted.mu) / fitted.sigma
     assert np.all(support > 0)
 
 
@@ -244,9 +243,9 @@ def test_fields_must_be_finite_numbers(fields):
 def test_fit_iteration_cap_error_carries_best_params():
     from evtoffload.gev import FitConvergenceError
 
-    bm = BlockMaxima(_synthetic_maxima(GevParams(2.0, 0.5, 0.1), 200, 15), 1)
+    maxima = _synthetic_maxima(GevParams(2.0, 0.5, 0.1), 200, 15)
     with pytest.raises(FitConvergenceError) as excinfo:
-        fit_gev_mle(bm, max_iter=2)
+        fit_gev_mle(maxima, max_iter=2)
     carried = excinfo.value.params
     assert carried.sigma > 0
     assert math.isfinite(carried.mu)
@@ -272,7 +271,7 @@ def test_fit_converges_on_three_thousand_maxima():
     # A likelihood of about -1.5e4, where an absolute tolerance of 1e-12 on
     # its value is below the float spacing.
     sample = gev_sample(GevParams(0.01, 1e-3, 0.1), np.random.default_rng(7), size=3000)
-    fitted = fit_gev_mle(BlockMaxima(sample, 1))
+    fitted = fit_gev_mle(sample)
     assert fitted.mu == pytest.approx(0.01, abs=1e-4)
     assert fitted.sigma == pytest.approx(1e-3, rel=0.05)
     assert fitted.xi == pytest.approx(0.1, abs=0.05)
@@ -289,7 +288,7 @@ def test_fit_converges_on_three_thousand_maxima():
 def test_fit_likelihood_is_never_above_scipy_nelder_mead(n, mu, log10_sigma, xi, seed):
     sigma = 10.0**log10_sigma
     maxima = _synthetic_maxima(GevParams(mu * sigma, sigma, xi), n, seed)
-    fitted = fit_gev_mle(BlockMaxima(maxima, 1))
+    fitted = fit_gev_mle(maxima)
     fit_nll = gev_neg_log_likelihood((fitted.mu, fitted.sigma, fitted.xi), maxima)
     start_mu, start_log_sigma, start_xi = _mle_start(maxima)
     start = np.array([start_mu, math.exp(start_log_sigma), start_xi])

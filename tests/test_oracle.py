@@ -136,6 +136,19 @@ def test_oracle_relabeling_invariance():
     assert r1.psi_star == pytest.approx(r2.psi_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("order", [[1, 2, 3, 4], [1, 3, 2, 4], [4, 3, 2, 1]])
+def test_oracle_tie_break_ignores_node_listing_order(order):
+    # Offloading 2 or 3 alone costs psi 14 either way; the tie goes to the
+    # smaller mask, bit 0 being node 2, however the graph lists its nodes.
+    chain = chain_graph([1, 10, 10, 1], [1, 1, 1])
+    graph = TaskGraph([chain.modules[i - 1] for i in order], chain.edges)
+    params = toy_params(f_c_hz=1.0, f_s_hz=0.5, kappa=1.0, theta_up=1.0, theta_down=1.0,
+                        z_up_s=2.0, z_down_s=2.0, deadline_slots=36)
+    result = brute_force_optimum(graph, params)
+    assert result.psi_star == 14.0
+    assert result.decision.server_set() == {2}
+
+
 def test_oracle_node_cap():
     graph = chain_graph([1] * 23, [1] * 22)
     with pytest.raises(OracleCapError):
