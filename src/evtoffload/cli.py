@@ -9,8 +9,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import colgen, mincut
 from .energy import (
     InfeasibleError,
@@ -28,8 +26,12 @@ from .gev import (
     GevParams,
 )
 from .graph import GraphError, is_int, load_graph, save_graph, write_json
+from .lazy import lazy_numpy
 from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
+
+np = lazy_numpy()
+
 
 def _load_params(args) -> SystemParams:
     return SystemParams.from_json(args.config) if args.config else SystemParams()

@@ -75,8 +75,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .energy import (
     CLIENT,
     SERVER,
@@ -89,7 +87,10 @@ from .energy import (
     worst_case_expected_energy,
 )
 from .graph import TaskGraph, check_graph, topological_order, write_json, write_text
+from .lazy import lazy_numpy
 from .oracle import earliest_completion
+
+np = lazy_numpy()
 
 CERT_REL_TOL = 1e-12
 

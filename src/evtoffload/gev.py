@@ -11,25 +11,29 @@ analytic gradient and Hessian (`fit_gev_mle`), so `scipy.optimize` is never
 imported.  scipy is still the source of `scipy.special.gamma`, whose last bits
 `math.gamma` does not match; it is imported inside its two users (`gev_mean`
 and `pwm_start`), not here, because it takes most of the package's import
-time and only `fit` needs it.
+time and only `fit` needs it.  numpy is bound through `lazy.lazy_numpy` and
+nothing here uses it at import time (the series of `_log1p_ratios` is built
+on first use), so importing this module runs no numpy code.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .energy import is_finite_number
+from .lazy import lazy_numpy
+
+np = lazy_numpy()
 
 # Below this magnitude the Gumbel branch is used; avoids catastrophic
 # cancellation of (1 - y**-xi)/xi near the Gumbel limit.
 XI_ZERO_TOL = 1e-9
 
-EULER_GAMMA = float(np.euler_gamma)
+EULER_GAMMA = 0.5772156649015329  # float(numpy.euler_gamma)
 
 TRACE_HEADER = [
     "t_ms",
@@ -206,9 +210,12 @@ def _gumbel_moments(x: np.ndarray) -> tuple[float, float, float]:
     return mu, sigma, 0.0
 
 
-# Taylor coefficients of u**k, k = 0..5, of `_log1p_ratios`' three functions.
-_K = np.arange(6.0)
-_RATIO_SERIES = (-1.0) ** _K * np.array([1 / (_K + 1), -(_K + 1) / (_K + 2), (_K + 1) * (_K + 2) / (_K + 3)])
+@functools.cache
+def _ratio_series() -> tuple[np.ndarray, np.ndarray]:
+    """Powers k = 0..5 and the Taylor coefficients of u**k of `_log1p_ratios`'
+    three functions; built on first use, so that importing gev runs no numpy."""
+    k = np.arange(6.0)
+    return k, (-1.0) ** k * np.array([1 / (k + 1), -(k + 1) / (k + 2), (k + 1) * (k + 2) / (k + 3)])
 
 
 def _log1p_ratios(u: np.ndarray) -> np.ndarray:
@@ -223,8 +230,8 @@ def _log1p_ratios(u: np.ndarray) -> np.ndarray:
     log_ratio = np.log1p(v) / v
     g = (inv - log_ratio) / v
     out = np.array([log_ratio, g, (-inv * inv - 2.0 * g) / v])
-    powers = u[small] ** _K[:, None]
-    out[:, small] = _RATIO_SERIES @ powers
+    k, series = _ratio_series()
+    out[:, small] = series @ u[small] ** k[:, None]
     return out
 
 

@@ -36,8 +36,6 @@ import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
-import numpy as np
-
 from .energy import (
     CLIENT,
     SERVER,
@@ -50,6 +48,9 @@ from .energy import (
 )
 from .gev import GevParams, gev_sample
 from .graph import DataEdge, TaskGraph, TaskModule, topological_order, write_json
+from .lazy import lazy_numpy
+
+np = lazy_numpy()
 
 # Parameters of each family; all of them must be finite numbers.
 _FAMILY_PARAMS = {

@@ -17,8 +17,10 @@ from evtoffload.gev import (
     gev_sample,
     load_trace_samples,
 )
+from evtoffload.graph import save_graph
+from evtoffload.lazy import lazy_numpy
 
-from conftest import INSTANCE_DIR
+from conftest import INSTANCE_DIR, chain_graph, toy_params
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -223,6 +225,57 @@ def test_fit_on_traces_loads_scipy_and_matches_an_in_process_fit(tmp_path):
     assert _fresh_python(code) == "False 0 True False"
     assert main(args + ["--out", str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()
+
+
+def test_auto_solve_and_oracle_never_run_numpy(tmp_path):
+    # The cut, the chain window search and the oracle are pure Python: numpy
+    # is bound at import but its code never runs, so no numpy submodule is
+    # loaded.  A later column-generation solve in the same process loads it.
+    chain, window_config = tmp_path / "chain.json", tmp_path / "window.json"
+    save_graph(chain_graph([1, 12, 12, 1], [1, 1, 14]), chain)
+    toy_params(z_up_s=4.0, z_down_s=4.0, deadline_slots=26).to_json(window_config)
+    dag = str(INSTANCE_DIR / "smart_diagnosis.json")
+    cut, window, oracle, cg = (str(tmp_path / f"{name}.json") for name in ("cut", "window", "oracle", "cg"))
+    runs = [
+        ["solve", "--policy", "auto", "--dag", dag, "--out", cut],
+        ["--config", str(window_config), "solve", "--policy", "auto", "--dag", str(chain), "--out", window],
+        ["oracle", "--dag", dag, "--out", oracle],
+    ]
+    cg_args = ["solve", "--policy", "cg", "--dag", dag, "--out"]
+    code = (
+        "import sys; from evtoffload import cli; "
+        "loaded = lambda: [m for m in sys.modules if m.startswith('numpy.')]; "
+        "print(loaded()); "
+        f"print([cli.main(args) for args in {runs!r}], loaded()); "
+        f"print(cli.main({cg_args + [cg]!r}), bool(loaded()))"
+    )
+    assert _fresh_python(code).splitlines() == ["[]", "[0, 0, 0] []", "0 True"]
+    assert [json.loads(Path(p).read_text())["exit_reason"] for p in (cut, window)] == ["mincut", "window"]
+    here = tmp_path / "cg-here.json"
+    assert main(cg_args + [str(here)]) == 0
+    assert Path(cg).read_bytes() == here.read_bytes()
+
+
+def test_cli_import_loads_every_module_and_shares_one_numpy():
+    # Every module is imported with the CLI, numpy included (lazily), and
+    # numpy imported afterwards is that same module object.
+    code = (
+        "import sys, evtoffload.cli; "
+        "print(*(m for m in sys.modules if m.startswith('evtoffload.'))); "
+        "import numpy; from evtoffload import cli, colgen, gev, simulate; "
+        "from evtoffload.lazy import lazy_numpy; "
+        "print(all(m.np is numpy for m in (cli, colgen, gev, simulate)), lazy_numpy() is numpy, "
+        "float(numpy.euler_gamma) == gev.EULER_GAMMA)"
+    )
+    modules, shared = _fresh_python(code).splitlines()
+    assert {f"evtoffload.{m}" for m in ("colgen", "gev", "simulate", "mincut", "oracle")} <= set(modules.split())
+    assert shared == "True True True"
+
+
+def test_lazy_numpy_returns_the_imported_numpy():
+    # Loading numpy a second time breaks it, so an imported numpy is reused.
+    assert lazy_numpy() is sys.modules["numpy"] is np
+    assert cli.np is np
 
 
 def test_fit_rejects_non_finite_constants(tmp_path, monkeypatch, capsys):
