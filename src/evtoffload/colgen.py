@@ -46,12 +46,10 @@ which is affine in the completion slot t of the candidate.  Every round
 prices all candidates in one vectorised pass over the same edge arrays:
 windows and coefficients come from per-node reductions over the incidence
 index, with each coefficient summed in the same order as a scalar loop.  The
-minimizing slot is read off the sign of the slope - the window's first slot
-when zeta rises, its last when it falls - whenever the slope exceeds a
-rigorous bound on the rounding error of the computed curve.  Within that
-bound the computed curve need not be monotone, so the window is scanned
-slot by slot, which gives exactly the slot and value a full scan gives
-(smallest slot on ties).  A column is admitted only if it strictly lowers
+slot is read off the sign of the slope: the window's last slot when zeta
+falls, its first otherwise, so a flat zeta (equal parent and child dual
+sums) takes the smallest slot.  That costs the same whatever the window's
+length.  A column is admitted only if it strictly lowers
 psi (`SolverState.delta`); otherwise it is blacklisted for later rounds.  The
 admitted slot lies in the node's window, which keeps every edge at the node,
 the slot range and source execution satisfied, and no other row moves, so
@@ -94,15 +92,6 @@ np = lazy_numpy()
 
 CERT_REL_TOL = 1e-12
 
-# zeta(t) is six IEEE operations on the coefficients, so the computed curve
-# lies within 6.01 * 2**-53 * S + 6 * 2**-1075 of the exact line, S being the
-# sum of the term magnitudes (the second term covers subnormal results).  A
-# slope beyond twice that keeps the computed curve strictly monotone over the
-# window; the allowance below has a wide margin, and within it the window is
-# scanned.
-SLOPE_NOISE = 64 * 2.0**-53
-SLOPE_NOISE_ABS = 2.0**-1060
-
 EXIT_NO_COLUMN = "no_column"
 EXIT_PRICING_NONNEG = "pricing_nonneg"
 EXIT_RATIO = "ratio"
@@ -119,13 +108,11 @@ class PricedColumn:
 class PricingTable:
     """Priced candidates of one round, ascending by node id.
 
-    Holds every candidate with a nonempty window: its window, its best slot
-    and zeta at that slot, which is the minimum of zeta over the window.
+    Holds every candidate with a nonempty window: its slot, the window end
+    where zeta is least, and zeta at that slot.
     """
 
     node: np.ndarray
-    t_min: np.ndarray
-    t_max: np.ndarray
     slot: np.ndarray
     zeta: np.ndarray
 
@@ -389,24 +376,13 @@ class SolverState:
         )
 
     def price(self, nodes, moved: int | None = None) -> PricingTable:
-        """Best slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
+        """Slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
         self.refresh(moved)
         nodes = np.asarray(nodes, dtype=np.int64)
         nodes = nodes[self.t_min[nodes] <= self.t_max[nodes]]
-        lo, hi = self.t_min[nodes], self.t_max[nodes]
         tr, ps, po, cs, co = (c[nodes] for c in self.coefficients())
-        slope = cs - ps
-        magnitude = np.abs(tr) + np.abs(po) + np.abs(co) + (np.abs(ps) + np.abs(cs)) * hi
-        noise = SLOPE_NOISE * magnitude + SLOPE_NOISE_ABS
-        slot = np.where(slope > 0.0, lo, hi)
-        zeta = _zeta(tr, ps, po, cs, co, slot.astype(float))
-        for i in np.flatnonzero(np.abs(slope) <= noise):
-            grid = np.arange(lo[i], hi[i] + 1, dtype=float)
-            curve = _zeta(tr[i], ps[i], po[i], cs[i], co[i], grid)
-            best = int(np.argmin(curve))
-            slot[i] = lo[i] + best
-            zeta[i] = curve[best]
-        return PricingTable(nodes, lo, hi, slot, zeta)
+        slot = np.where(cs - ps >= 0.0, self.t_min[nodes], self.t_max[nodes])
+        return PricingTable(nodes, slot, _zeta(tr, ps, po, cs, co, slot.astype(float)))
 
 
 def _zeta(tr, ps, po, cs, co, t):
@@ -547,9 +523,9 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
             table = _price_all(state, moved)
 
         column = table.best(state.blacklist)
-        r_scan = 0.0 if column is None else column.reduced_cost
+        r_price = 0.0 if column is None else column.reduced_cost
 
-        # The scan pricing value is logged as r_underbar, but the lower
+        # The pricing value is logged as r_underbar, but the lower
         # bound comes from the provable combinatorial floor: the heuristic
         # psi_upper + K*r_underbar can overshoot the true optimum, which
         # would break the bound sandwich.
@@ -558,7 +534,7 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
         admitted: int | None = None
         if column is None:
             exit_reason = EXIT_NO_COLUMN
-        elif r_scan >= 0.0:
+        elif r_price >= 0.0:
             exit_reason = EXIT_PRICING_NONNEG
         elif state.psi_upper <= (1.0 + params.epsilon) * state.psi_lower:
             exit_reason = EXIT_RATIO
@@ -570,7 +546,7 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
             table = None
         else:
             state.blacklist[column.node] = True
-        log.append(IterationRecord(round_idx, state.psi_upper, state.psi_lower, r_scan, admitted))
+        log.append(IterationRecord(round_idx, state.psi_upper, state.psi_lower, r_price, admitted))
 
     certified = (
         exit_reason == EXIT_PRICING_NONNEG

@@ -113,7 +113,9 @@ _FLOAT_FIELDS = (
 
 
 def is_finite_number(value) -> bool:
-    """A real number that is neither NaN nor infinite."""
+    """A real number that is neither NaN nor infinite; bools are not numbers."""
+    if isinstance(value, bool):
+        return False
     try:
         return math.isfinite(value)
     except (TypeError, OverflowError):  # not a number, or an int beyond float range

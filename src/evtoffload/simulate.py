@@ -77,6 +77,8 @@ class DistSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"{self.family} params must be an object, got {self.params!r}")
         missing = [name for name in _FAMILY_PARAMS[self.family] if name not in self.params]
         if missing:
             raise ValueError(f"{self.family} needs the parameters {missing}")
@@ -392,18 +394,23 @@ class LayeredDagSpec:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
 
 
-def _half_normal_int(rng: np.random.Generator, scale: float) -> int:
-    return max(1, int(math.ceil(abs(rng.normal(0.0, scale)))))
+def _half_normal_int(rng: np.random.Generator, scale: float, name: str) -> int:
+    draw = abs(rng.normal(0.0, scale))
+    if not math.isfinite(draw):
+        raise ValueError(f"{name} {scale!r} draws a value beyond float range")
+    return max(1, int(math.ceil(draw)))
 
 
 def gen_layered_dag(spec: LayeredDagSpec, rng: np.random.Generator) -> TaskGraph:
     """Random layered DAG: adjacent-layer edges with probability p, then
     minimal repair edges so every node is reachable from 1 and reaches N."""
     n = spec.n_nodes
-    workloads = {node: _half_normal_int(rng, spec.workload_scale) for node in range(1, n + 1)}
+    workloads = {
+        node: _half_normal_int(rng, spec.workload_scale, "workload_scale") for node in range(1, n + 1)
+    }
     if n == 2:
         modules = [TaskModule(i, workloads[i]) for i in (1, 2)]
-        return TaskGraph(modules, [DataEdge(1, 2, _half_normal_int(rng, spec.bit_scale))])
+        return TaskGraph(modules, [DataEdge(1, 2, _half_normal_int(rng, spec.bit_scale, "bit_scale"))])
 
     interior = list(range(2, n))
     layers: list[list[int]] = [[1]]
@@ -448,7 +455,7 @@ def gen_layered_dag(spec: LayeredDagSpec, rng: np.random.Generator) -> TaskGraph
                     parents[dst] += 1
 
     edges = [
-        DataEdge(src, dst, _half_normal_int(rng, spec.bit_scale))
+        DataEdge(src, dst, _half_normal_int(rng, spec.bit_scale, "bit_scale"))
         for src, dst in sorted(edge_set)
     ]
     modules = [TaskModule(node, workloads[node]) for node in range(1, n + 1)]

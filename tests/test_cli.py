@@ -81,13 +81,15 @@ def test_gen_different_seeds_differ(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "flag,value", [("--workload-scale", "inf"), ("--bit-scale", "inf"), ("--workload-scale", "1e400")]
-)
+# 1e308 is finite, but at seed 1 some of its 50-node draws are not.
+@pytest.mark.parametrize("flag,value", [
+    ("--workload-scale", "inf"), ("--bit-scale", "inf"), ("--workload-scale", "1e400"),
+    ("--workload-scale", "1e308"), ("--bit-scale", "1e308"),
+])
 def test_gen_rejects_non_finite_scale(tmp_path, capsys, flag, value):
     out = tmp_path / "dag.json"
-    assert main(["gen", "--nodes", "6", flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["--seed", "1", "gen", "--nodes", "50", flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:].replace('-', '_')} ")
     assert not out.exists()
 
 

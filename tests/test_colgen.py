@@ -48,7 +48,7 @@ def _priced(node, state):
     table = state.price([node])
     if not table.node.size:
         return None
-    return int(table.t_min[0]), int(table.t_max[0]), int(table.slot[0]), float(table.zeta[0])
+    return int(state.t_min[node]), int(state.t_max[node]), int(table.slot[0]), float(table.zeta[0])
 
 
 # --- initial RMP -------------------------------------------------------------
@@ -183,9 +183,7 @@ def test_reduced_cost_rejects_non_candidates():
 
 def _table(nodes, zetas):
     ones = np.ones(len(nodes), dtype=np.int64)
-    return PricingTable(
-        np.array(nodes, dtype=np.int64), ones, ones, ones, np.array(zetas, dtype=float)
-    )
+    return PricingTable(np.array(nodes, dtype=np.int64), ones, np.array(zetas, dtype=float))
 
 
 def _blacklist(*nodes):
@@ -254,7 +252,8 @@ def test_every_slot_in_window_is_feasible(seed, slack):
     moved = None
     while True:
         table = _price_all(state, moved)
-        for node, t_min, t_max in zip(*(a.tolist() for a in (table.node, table.t_min, table.t_max))):
+        windows = (table.node, state.t_min[table.node], state.t_max[table.node])
+        for node, t_min, t_max in zip(*(a.tolist() for a in windows)):
             for t in range(t_min, t_max + 1):
                 decision = state.decision()
                 decision.location[node] = SERVER
@@ -265,7 +264,7 @@ def test_every_slot_in_window_is_feasible(seed, slack):
         i = int(rng.integers(table.node.size))
         moved = int(table.node[i])
         state.on_server[moved] = True
-        state.schedule[moved] = rng.integers(table.t_min[i], table.t_max[i] + 1)
+        state.schedule[moved] = rng.integers(state.t_min[moved], state.t_max[moved] + 1)
         solve_rmp(state, moved)
         assert check_constraints(graph, state.decision(), params) == []
 
@@ -279,7 +278,7 @@ def test_td_width_one_window():
 
 
 def test_td_parent_duals_pull_to_latest_slot():
-    # Only parent rows priced: zeta decreases in t, so the scan picks t_max.
+    # Only parent rows priced: zeta decreases in t, so pricing picks t_max.
     graph, params, state = _window_fixture()
     _set_duals(state, {(1, 2): 0.5})
     assert _priced(2, state)[2] == 9
@@ -564,3 +563,15 @@ def test_transfer_slots_beyond_int64_leave_nothing_to_offload():
     result = solve(graph, params)
     assert result.decision.server_set() == set()
     assert result.exit_reason == "no_column"
+
+
+def test_solve_prices_windows_of_any_length():
+    # A diamond whose interior windows span about 1e18 slots: pricing reads
+    # the slot off the slope, so the window's length costs nothing.
+    graph = TaskGraph(
+        [TaskModule(1, 1), TaskModule(2, 10**18), TaskModule(3, 10**18), TaskModule(4, 1)],
+        [DataEdge(1, 2, 1), DataEdge(1, 3, 1), DataEdge(2, 4, 1), DataEdge(3, 4, 1)],
+    )
+    params = toy_params(f_s_hz=1.0, z_up_s=1.0, deadline_slots=2**61, epsilon=0.03)
+    result = solve(graph, params)
+    assert check_constraints(graph, result.decision, params) == []

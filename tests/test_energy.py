@@ -148,7 +148,10 @@ FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+# A JSON `true` is not a number, although Python's bool is an int.
+@pytest.mark.parametrize(
+    "value", [math.inf, -math.inf, math.nan, True], ids=["inf", "-inf", "nan", "true"]
+)
 @pytest.mark.parametrize("name", FLOAT_FIELDS)
 def test_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=name):

@@ -1,13 +1,13 @@
-"""Batched pricing against the literal slot-by-slot scan, bit for bit.
+"""Batched pricing against a scalar reference, bit for bit.
 
 The reference below is the scalar form of the pricing step: the window from
-loops over the parents and children of the candidate, the zeta curve with
-its coefficients accumulated one edge at a time, evaluated on every slot of
-`np.arange(t_min, t_max + 1)`, and its first argmin.  The batched pricing
-reads the slot off the sign of the slope and scans only when the slope is
-within rounding noise, so it must agree exactly, including on zero slopes
-(equal parent and child dual sums) and on slopes that are zero only up to
-rounding (0.1 + 0.2 against 0.3).
+loops over the parents and children of the candidate, the zeta coefficients
+accumulated one edge at a time, and the endpoint the slope's sign picks -
+t_max when the child dual sum is below the parent one, t_min otherwise -
+with zeta evaluated there.  The batched pricing must agree exactly,
+including on zero slopes (equal parent and child dual sums, which take
+t_min) and on slopes that are zero only up to rounding (0.1 + 0.2 against
+0.3).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ DUALS = st.one_of(
 
 
 def reference(node, state):
-    """(slot, zeta) of the literal scan, or None for an empty window."""
+    """(slot, zeta) of the scalar pricing step, or None for an empty window."""
     graph, params = state.graph, state.params
     slots = slot_table(graph, params)
     decision = state.decision()
@@ -64,10 +64,8 @@ def reference(node, state):
         pi = duals.get((node, child), 0.0)
         chi_sum += pi
         chi_off += pi * (schedule[child] - slots.at(child, loc))
-    t_arr = np.arange(t_min, t_max + 1, dtype=float)
-    zeta = transfer - (par_sum * t_arr - par_off) - (chi_off - chi_sum * t_arr)
-    idx = int(np.argmin(zeta))
-    return t_min + idx, float(zeta[idx])
+    t = t_min if chi_sum - par_sum >= 0.0 else t_max
+    return t, transfer - (par_sum * float(t) - par_off) - (chi_off - chi_sum * float(t))
 
 
 @st.composite
@@ -104,7 +102,7 @@ def priced_states(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(priced_states())
-def test_batched_pricing_matches_literal_scan(state):
+def test_batched_pricing_matches_scalar_reference(state):
     table = _price_all(state)
     priced = {
         int(node): (int(slot), float(zeta))
@@ -123,4 +121,4 @@ def test_batched_pricing_matches_literal_scan(state):
         slot, zeta = priced[node]
         assert (slot, zeta.hex()) == (expected[0], expected[1].hex())
         assert (int(alone.slot[0]), float(alone.zeta[0])) == (slot, zeta)
-        assert alone.t_min[0] <= slot <= alone.t_max[0]
+        assert state.t_min[node] <= slot <= state.t_max[node]

@@ -450,6 +450,8 @@ def _model_dict(**overrides) -> dict:
     ("empirical", {"values": [1.0, math.inf]}),
     ("empirical", {"values": [1.0, None]}),
     ("empirical", {"values": 3.0}),
+    ("lognormal", "mean_log sigma_log"),
+    ("uniform", {"low": True, "high": 2.0}),
 ])
 def test_dist_spec_rejects_invalid_parameters(family, params):
     with pytest.raises(ValueError):
@@ -559,6 +561,7 @@ def test_simulate_cli_rejects_a_bad_decision_with_exit_2(tmp_path, nodes):
     {"power_up": {"family": "lognormal", "params": {"mean_log": 0.0, "sigma_log": -1.0}}},
     # A valid model whose trace is shorter than the chain's one uplink.
     {"rate_up": {"family": "empirical", "params": {"values": []}}},
+    {"rate_up": {"family": "lognormal", "params": "mean_log sigma_log"}},
 ])
 def test_simulate_cli_rejects_a_bad_model_with_exit_2(tmp_path, overrides):
     assert _simulate_cli(tmp_path, GOOD_NODES, _model_dict(**overrides)) == 2
