@@ -164,9 +164,7 @@ def cmd_compare(args) -> int:
         )
         for eps in eps_grid:
             result = colgen.solve(graph, swept.replace(epsilon=eps))
-            offloaded = sum(
-                1 for loc in result.decision.location.values() if loc == "server"
-            )
+            offloaded = len(result.decision.server_set())
             rows.append(
                 {
                     "epsilon": eps,

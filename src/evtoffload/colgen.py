@@ -196,7 +196,7 @@ class SolverState:
 
     def __init__(self, graph: TaskGraph, params: SystemParams):
         self.graph, self.params = graph, params
-        self.psi_upper, self.psi_lower, self.iterations = math.inf, 0.0, 0
+        self.psi_upper, self.psi_lower = math.inf, 0.0
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
@@ -406,11 +406,15 @@ class SolveResult:
     decision: OffloadDecision
     report: EnergyReport
     psi_lower: float
-    iterations: int
     log: list[IterationRecord]
     exit_reason: str
     optimal_certified: bool
     epsilon: float
+
+    @property
+    def iterations(self) -> int:
+        """Admissions: the rounds of `log` that admitted a node."""
+        return sum(rec.admitted_node is not None for rec in self.log)
 
 
 def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
@@ -542,7 +546,6 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
             admitted = moved = column.node
             state.on_server[admitted] = True
             state.schedule[admitted] = column.slot
-            state.iterations += 1
             table = None
         else:
             state.blacklist[column.node] = True
@@ -564,7 +567,6 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
         decision=decision,
         report=report,
         psi_lower=state.psi_lower,
-        iterations=state.iterations,
         log=log,
         exit_reason=exit_reason,
         optimal_certified=certified,

@@ -7,6 +7,7 @@ config; nothing here asserts Joules.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
@@ -72,18 +73,17 @@ class SystemParams:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
         # Converted once: the exact rational ceilings are too slow to redo on
         # every access from the solver's hot loops.
-        object.__setattr__(self, "_z_slots", (
-            exact_ceil_div(self.z_up_s, self.delta_s),
-            exact_ceil_div(self.z_down_s, self.delta_s),
-        ))
+        object.__setattr__(self, "z_up_slots", exact_ceil_div(self.z_up_s, self.delta_s))
+        object.__setattr__(self, "z_down_slots", exact_ceil_div(self.z_down_s, self.delta_s))
 
-    @property
-    def z_up_slots(self) -> int:
-        return self._z_slots[0]
-
-    @property
-    def z_down_slots(self) -> int:
-        return self._z_slots[1]
+    def transfer_slots(self, src_location: str, dst_location: str) -> int:
+        """Worst-case slots of a dependency edge between the two locations:
+        `z_up_slots` from the client to the server side, `z_down_slots`
+        back, none on one side.  Any location but `CLIENT` is the server side."""
+        src_client, dst_client = src_location == CLIENT, dst_location == CLIENT
+        if src_client == dst_client:
+            return 0
+        return self.z_up_slots if src_client else self.z_down_slots
 
     def to_json(self, path: str | Path) -> None:
         write_json(path, asdict(self))
@@ -99,10 +99,7 @@ class SystemParams:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
-    def replace(self, **kwargs) -> "SystemParams":
-        merged = asdict(self)
-        merged.update(kwargs)
-        return SystemParams(**merged)
+    replace = dataclasses.replace
 
 
 # epsilon last: every float field before it must be positive.
@@ -311,14 +308,7 @@ def check_constraints(
                 )
 
     for e in graph.edges:
-        src_client = decision.is_client(e.src)
-        dst_client = decision.is_client(e.dst)
-        if src_client and not dst_client:
-            required = params.z_up_slots
-        elif not src_client and dst_client:
-            required = params.z_down_slots
-        else:
-            required = 0
+        required = params.transfer_slots(decision.location[e.src], decision.location[e.dst])
         bound = (
             decision.slot[e.dst]
             - decision.slot[e.src]

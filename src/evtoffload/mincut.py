@@ -8,6 +8,10 @@ the source side runs on the client, so a cut costs exactly the psi of its
 assignment.  The capacities are the energy terms of `energy.slot_table`,
 which `worst_case_expected_energy` sums, as integers over one power of two,
 so Dinic's flow is exact.
+
+When the cut's schedule misses the deadline, a chain gets the search over
+contiguous offload windows and any other graph column generation.  A chain
+is found by its shape, whatever its numbering.
 """
 from __future__ import annotations
 
@@ -16,12 +20,9 @@ from dataclasses import replace
 
 from . import colgen
 from .colgen import SolveResult
-from .energy import (
-    CLIENT, SERVER, InfeasibleError, OffloadDecision, SystemParams, slot_table,
-    worst_case_expected_energy,
-)
-from .graph import TaskGraph, check_graph
-from .oracle import cheapest_feasible, earliest_completion
+from .energy import CLIENT, SERVER, InfeasibleError, SystemParams, slot_table
+from .graph import TaskGraph, check_graph, topological_order
+from .oracle import cheapest_feasible
 
 EXIT_MINCUT = "mincut"
 EXIT_WINDOW = "window"
@@ -111,28 +112,27 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
 
     Otherwise, on a chain, the cheapest feasible contiguous offload window
     (or all-local), and on any other graph the column-generation result.
-    Either way psi_lower is at least the cut, rounded down and shrunk by
-    2**-50 so that it stays below the float psi of every feasible decision.
+    A chain is known by its shape: its edges are the consecutive pairs of
+    its topological order, whatever its ids.  Either way psi_lower is at
+    least the cut, rounded down and shrunk by 2**-50 so that it stays below
+    the float psi of every feasible decision.
     """
     check_graph(graph)
     server, cut, scale = min_cut(graph, params)
-    location = dict.fromkeys(graph.node_ids, CLIENT) | dict.fromkeys(server, SERVER)
-    schedule = earliest_completion(graph, location, params)
-    if schedule.feasible:
-        decision = OffloadDecision(location=location, slot=schedule.slots)
-        report = worst_case_expected_energy(graph, decision, params)
-        return SolveResult(decision, report, report.psi, 0, [], EXIT_MINCUT, True, params.epsilon)
+    local = dict.fromkeys(graph.node_ids, CLIENT)
+    decision, report, _ = cheapest_feasible(graph, [local | dict.fromkeys(server, SERVER)], params)
+    if decision is not None:
+        return SolveResult(decision, report, report.psi, [], EXIT_MINCUT, True, params.epsilon)
     floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
-    n = graph.n_nodes
-    if graph.edge_index.keys() == {(i, i + 1) for i in range(1, n)}:
-        windows = [()] + [range(u, v + 1) for u in range(2, n) for v in range(u, n)]
-        local = dict.fromkeys(graph.node_ids, CLIENT)
+    path = topological_order(graph)
+    if graph.edge_index.keys() == set(zip(path, path[1:])):
+        inner = path[1:-1]
+        windows = [()] + [inner[i:j] for i in range(len(inner)) for j in range(i + 1, len(inner) + 1)]
         locations = (local | dict.fromkeys(w, SERVER) for w in windows)
-        decision, _, _ = cheapest_feasible(graph, locations, params)
+        decision, report, _ = cheapest_feasible(graph, locations, params)
         if decision is None:
             raise InfeasibleError("no offload window (including all-local) meets the deadline")
-        report = worst_case_expected_energy(graph, decision, params)
-        return SolveResult(decision, report, floor, 0, [], EXIT_WINDOW, False, params.epsilon)
+        return SolveResult(decision, report, floor, [], EXIT_WINDOW, False, params.epsilon)
     result = colgen.solve(graph, params)
     return replace(result, psi_lower=max(result.psi_lower, floor))
 

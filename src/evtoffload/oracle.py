@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from .energy import (
     CLIENT,
     SERVER,
+    EnergyReport,
     InfeasibleError,
     OffloadDecision,
     SystemParams,
@@ -52,33 +53,25 @@ def earliest_completion(
     Feasible when every node (hence the final one) finishes by the deadline.
     """
     slots = slot_table(graph, params)
-    order = topological_order(graph)
-    z_up = params.z_up_slots
-    z_down = params.z_down_slots
+    transfer = params.transfer_slots
     ec: dict[int, int] = {}
-    for node in order:
+    for node in topological_order(graph):
+        where = location[node]
         ready = 0
-        node_client = location[node] == CLIENT
         for parent in graph.parents[node]:
-            parent_client = location[parent] == CLIENT
-            if parent_client and not node_client:
-                transfer = z_up
-            elif not parent_client and node_client:
-                transfer = z_down
-            else:
-                transfer = 0
-            ready = max(ready, ec[parent] + transfer)
-        ec[node] = ready + slots.at(node, location[node])
+            ready = max(ready, ec[parent] + transfer(location[parent], where))
+        ec[node] = ready + slots.at(node, where)
     feasible = max(ec.values()) <= params.deadline_slots
     return EcSchedule(slots=ec, feasible=feasible)
 
 
 def cheapest_feasible(
     graph: TaskGraph, locations, params: SystemParams
-) -> tuple[OffloadDecision | None, float | None, int]:
-    """(decision, psi, feasible count) of the cheapest location map that
-    meets the deadline, or (None, None, 0); the first one given wins a tie."""
-    best: tuple[OffloadDecision | None, float | None] = (None, None)
+) -> tuple[OffloadDecision | None, EnergyReport | None, int]:
+    """(decision, report, feasible count) of the cheapest location map that
+    meets the deadline, each scheduled at its earliest completion, or
+    (None, None, 0); the first one given wins a tie."""
+    best: tuple[OffloadDecision | None, EnergyReport | None] = (None, None)
     feasible_count = 0
     for location in locations:
         schedule = earliest_completion(graph, location, params)
@@ -86,9 +79,9 @@ def cheapest_feasible(
             continue
         feasible_count += 1
         decision = OffloadDecision(location=location, slot=schedule.slots)
-        psi = worst_case_expected_energy(graph, decision, params).psi
-        if best[1] is None or psi < best[1]:
-            best = decision, psi
+        report = worst_case_expected_energy(graph, decision, params)
+        if best[1] is None or report.psi < best[1].psi:
+            best = decision, report
     return *best, feasible_count
 
 
@@ -109,7 +102,7 @@ def brute_force_optimum(graph: TaskGraph, params: SystemParams) -> OracleResult:
         | {node: SERVER for bit, node in enumerate(interior) if mask >> bit & 1}
         for mask in range(total)
     )
-    decision, psi, feasible_count = cheapest_feasible(graph, locations, params)
+    decision, report, feasible_count = cheapest_feasible(graph, locations, params)
     if decision is None:
         raise InfeasibleError("no feasible assignment meets the deadline")
-    return OracleResult(psi, decision, total, feasible_count)
+    return OracleResult(report.psi, decision, total, feasible_count)

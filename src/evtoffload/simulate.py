@@ -67,6 +67,12 @@ QUANTITIES = ("rate_up", "rate_down", "queue_up_bits", "queue_down_bits", "power
 _CHUNK_ELEMENTS = 1 << 18
 
 
+def _refuse_unknown(what: str, data: dict, known) -> None:
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {what}: {unknown}")
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """Distribution of one traced quantity; `empirical` replays a recording."""
@@ -79,16 +85,18 @@ class DistSpec:
             raise ValueError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
         if not isinstance(self.params, dict):
             raise ValueError(f"{self.family} params must be an object, got {self.params!r}")
-        missing = [name for name in _FAMILY_PARAMS[self.family] if name not in self.params]
+        names = _FAMILY_PARAMS[self.family]
+        missing = [name for name in names if name not in self.params]
         if missing:
             raise ValueError(f"{self.family} needs the parameters {missing}")
+        _refuse_unknown(f"{self.family} parameters", self.params, names)
         p = self.params
         if self.family == "empirical":
             values = p["values"]
             if not isinstance(values, (list, tuple)) or not all(map(is_finite_number, values)):
                 raise ValueError("empirical values must be a list of finite numbers")
             return
-        for name in _FAMILY_PARAMS[self.family]:
+        for name in names:
             if not is_finite_number(p[name]):
                 raise ValueError(f"{self.family} {name} must be a finite number, got {p[name]!r}")
         if self.family == "lognormal" and p["sigma_log"] < 0:
@@ -141,11 +149,13 @@ class TraceModel:
     def from_dict(cls, data: dict) -> "TraceModel":
         if not isinstance(data, dict):
             raise ValueError("trace model must be a JSON object")
+        _refuse_unknown("trace model keys", data, (*QUANTITIES, "rate_floor_bps", "seed"))
         kwargs = {}
         for name in QUANTITIES:
             spec = data.get(name)
             if not isinstance(spec, dict) or "family" not in spec or "params" not in spec:
                 raise ValueError(f"trace model needs {name} as {{family, params}}")
+            _refuse_unknown(f"{name} keys", spec, ("family", "params"))
             kwargs[name] = DistSpec(spec["family"], spec["params"])
         kwargs["rate_floor_bps"] = data.get("rate_floor_bps", 1e3)
         kwargs["seed"] = data.get("seed", 0)

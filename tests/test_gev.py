@@ -227,6 +227,17 @@ def test_fit_support_holds_for_every_maximum():
     assert np.all(support > 0)
 
 
+def test_start_repair_pulls_the_shape_into_the_support():
+    # Short-tailed maxima whose PWM start leaves some maximum outside the
+    # support: the start halves xi until every maximum lies inside it.
+    maxima = gev_sample(GevParams(0.0, 1.0, -0.8), np.random.default_rng(3), 30)
+    assert gev_neg_log_likelihood(pwm_start(maxima), maxima) == math.inf
+    mu, log_sigma, xi = _mle_start(maxima)
+    assert math.isfinite(gev_neg_log_likelihood((mu, math.exp(log_sigma), xi), maxima))
+    fitted = fit_gev_mle(maxima)
+    assert np.all(1 + fitted.xi * (maxima - fitted.mu) / fitted.sigma > 0)
+
+
 def test_sigma_must_be_positive():
     with pytest.raises(ValueError):
         GevParams(0, 0, 0)

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evtoffload import colgen, graph as graph_module, mincut
+from evtoffload.cli import main
 from evtoffload.energy import SystemParams
 from evtoffload.graph import (
     DataEdge,
@@ -193,6 +194,36 @@ def test_invalid_graph_raises_on_load(tmp_path):
     )
     with pytest.raises(GraphValidationError):
         load_graph(path)
+
+
+def _nodes(*workloads):
+    return [{"id": i, "workload_cycles": w} for i, w in enumerate(workloads, 1)]
+
+
+@pytest.mark.parametrize("data, error, message", [
+    ({"nodes": _nodes(0), "edges": []}, GraphValidationError, "graph must contain at least 2 modules"),
+    ({"nodes": _nodes(0, 1) + [{"id": 2, "workload_cycles": 1}], "edges": []},
+     GraphValidationError, "duplicate node ids"),
+    ({"nodes": _nodes(0, -1, 0), "edges": []}, GraphValidationError, "negative workload on node 2"),
+    ({"nodes": _nodes(0, 0), "edges": [{"from": 1, "to": 5, "bits": 1}]},
+     GraphValidationError, "edge 1->5 references unknown node"),
+    ({"nodes": _nodes(0, 0), "edges": [{"from": 1, "to": 2, "bits": -3}]},
+     GraphValidationError, "negative bits on edge 1->2"),
+    ([{"id": 1, "workload_cycles": 0}], SchemaError, "top level must be a JSON object"),
+    ({"nodes": _nodes(0, 0)}, SchemaError, "missing or invalid 'edges' list"),
+    ({"nodes": {"1": 0}, "edges": []}, SchemaError, "missing or invalid 'nodes' list"),
+    ({"nodes": _nodes(0, 0), "edges": [{"from": 1, "to": 2}]}, SchemaError, "bad edge entry"),
+    ({"nodes": _nodes(0, 0), "edges": [[1, 2, 3]]}, SchemaError, "bad edge entry"),
+])
+def test_load_graph_names_each_input_error(tmp_path, capsys, data, error, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error, match=re.escape(message)):
+        load_graph(path)
+    out = tmp_path / "out.json"
+    assert main(["solve", "--dag", str(path), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_a_graph_is_validated_once(monkeypatch):

@@ -257,6 +257,55 @@ def test_binding_chain_gets_the_window_search():
     assert result.report.psi == oracle.psi_star == 17.0
 
 
+def _relabel_interior(graph, perm):
+    """`graph` with each interior id i renamed perm[i]; 1 and N keep theirs."""
+    new = perm | {1: 1, graph.n_nodes: graph.n_nodes}
+    modules = sorted((TaskModule(new[m.id], m.workload_cycles) for m in graph.modules), key=lambda m: m.id)
+    return TaskGraph(modules, [DataEdge(new[e.src], new[e.dst], e.bits) for e in graph.edges])
+
+
+def test_a_chain_numbered_out_of_path_order_gets_the_window_search():
+    # 1 -> 3 -> 2 -> 4: local execution takes 42 slots, the cut keeps every
+    # node local, and offloading both interior nodes takes 1 + 2 + 10 + 10
+    # + 1 + 1 = 25 slots.
+    graph = TaskGraph(
+        [TaskModule(i, w) for i, w in enumerate([1, 20, 20, 1], 1)],
+        [DataEdge(1, 3, 1), DataEdge(3, 2, 1), DataEdge(2, 4, 1)],
+    )
+    params = toy_params(theta_up=100.0, theta_down=100.0, deadline_slots=30)
+    result = mincut.solve(graph, params)
+    oracle = brute_force_optimum(graph, params)
+    assert result.exit_reason == mincut.EXIT_WINDOW
+    assert result.decision.server_set() == {2, 3}
+    assert result.report.psi == oracle.psi_star == 202.0
+    assert check_constraints(graph, result.decision, params) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_chain_answer_does_not_depend_on_its_numbering(seed):
+    # Transfers dearer than any node's work keep the cut all-local, and
+    # deadlines below the local schedule send most chains to the window search.
+    rng = np.random.default_rng(seed)
+    graph = _random_chain(rng)
+    total = sum(m.workload_cycles for m in graph.modules)
+    params = toy_params(
+        theta_up=float(rng.uniform(1.0, 100.0)), theta_down=float(rng.uniform(1.0, 100.0)),
+        deadline_slots=int(rng.integers(total * 3 // 4, total + 2)),
+    )
+    interior = graph.interior_ids()
+    perm = dict(zip(interior, rng.permutation(interior).tolist()))
+    relabelled = _relabel_interior(graph, perm)
+    try:
+        expected = mincut.solve(graph, params)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            mincut.solve(relabelled, params)
+        return
+    result = mincut.solve(relabelled, params)
+    assert (result.report.psi, result.exit_reason) == (expected.report.psi, expected.exit_reason)
+    assert result.decision.server_set() == {perm[n] for n in expected.decision.server_set()}
+
+
 def test_round_down_stays_below_the_quotient():
     # 0.1 rounds up to nearest, 1/3 rounds down, 3/4 is exact.
     assert 0.1 > Fraction(1, 10) and mincut._round_down(1, 10) == math.nextafter(0.1, 0.0)

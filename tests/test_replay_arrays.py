@@ -452,6 +452,7 @@ def _model_dict(**overrides) -> dict:
     ("empirical", {"values": 3.0}),
     ("lognormal", "mean_log sigma_log"),
     ("uniform", {"low": True, "high": 2.0}),
+    ("uniform", {"low": 1.0, "high": 2.0, "hihg": 3.0}),
 ])
 def test_dist_spec_rejects_invalid_parameters(family, params):
     with pytest.raises(ValueError):
@@ -562,6 +563,10 @@ def test_simulate_cli_rejects_a_bad_decision_with_exit_2(tmp_path, nodes):
     # A valid model whose trace is shorter than the chain's one uplink.
     {"rate_up": {"family": "empirical", "params": {"values": []}}},
     {"rate_up": {"family": "lognormal", "params": "mean_log sigma_log"}},
+    # Keys that nothing reads: a misspelt rate_floor_bps, family and high.
+    {"rate_floor": 1e9},
+    {"rate_up": {"family": "uniform", "famliy": "uniform", "params": {"low": 1e6, "high": 1e6}}},
+    {"rate_up": {"family": "uniform", "params": {"low": 1e6, "high": 1e6, "hihg": 2e6}}},
 ])
 def test_simulate_cli_rejects_a_bad_model_with_exit_2(tmp_path, overrides):
     assert _simulate_cli(tmp_path, GOOD_NODES, _model_dict(**overrides)) == 2
