@@ -201,9 +201,9 @@ class SolverState:
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
         self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
-        self.src = np.array([e.src for e in graph.edges], dtype=np.int64)
-        self.dst = np.array([e.dst for e in graph.edges], dtype=np.int64)
-        n_edges = len(graph.edges)
+        self.src = np.array(graph.edge_src, dtype=np.int64)
+        self.dst = np.array(graph.edge_dst, dtype=np.int64)
+        n_edges = len(self.src)
         self.all_edges = np.arange(n_edges)
 
         self.on_server = np.zeros(size, dtype=bool)
@@ -217,7 +217,7 @@ class SolverState:
         # of the node axis is no node.
         slots = slot_table(graph, params)
         self.local_energy = np.zeros((2, size))
-        self.local_energy[0, self.ids] = [slots.local[n] for n in ids]
+        self.local_energy[0, self.ids] = list(map(slots.local.__getitem__, ids))
         self.up_energy = np.zeros((2, 2, n_edges))
         self.up_energy[0, 1] = slots.up
         self.down_energy = np.zeros((2, 2, n_edges))
@@ -226,13 +226,16 @@ class SolverState:
         # A slot count beyond T + 1 empties every window and fails every
         # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
         cap = params.deadline_slots + 1
-        z_up, z_down = min(params.z_up_slots, cap), min(params.z_down_slots, cap)
         self.exec_slots = np.zeros((2, size), dtype=np.int64)
         self.exec_slots[:, self.ids] = [
-            [min(slots.client[n], cap) for n in ids],
-            [min(slots.server[n], cap) for n in ids],
+            list(map(min, map(side.__getitem__, ids), itertools.repeat(cap)))
+            for side in (slots.client, slots.server)
         ]
-        self.transfer_slots = np.array([[0, z_up], [z_down, 0]], dtype=np.int64)
+        self.transfer_slots = np.array(
+            [[min(params.transfer_slots(a, b), cap) for b in (CLIENT, SERVER)] for a in (CLIENT, SERVER)],
+            dtype=np.int64,
+        )
+        z_up, z_down = self.transfer_slots[0, 1], self.transfer_slots[1, 0]
 
         # Entry e of the ends is edge e as a parent row of its dst, entry
         # n_edges + e the same edge as a child row of its src.

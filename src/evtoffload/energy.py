@@ -19,6 +19,7 @@ from .graph import TaskGraph, write_json
 
 CLIENT = "client"
 SERVER = "server"
+UP, DOWN = "up", "down"
 MAX_DEADLINE_SLOTS = (2**63 - 1) // 3 - 1
 
 
@@ -78,12 +79,12 @@ class SystemParams:
 
     def transfer_slots(self, src_location: str, dst_location: str) -> int:
         """Worst-case slots of a dependency edge between the two locations:
-        `z_up_slots` from the client to the server side, `z_down_slots`
-        back, none on one side.  Any location but `CLIENT` is the server side."""
-        src_client, dst_client = src_location == CLIENT, dst_location == CLIENT
-        if src_client == dst_client:
+        `z_up_slots` up, `z_down_slots` down, none on one side
+        (`transfer_direction`)."""
+        direction = transfer_direction(src_location, dst_location)
+        if direction is None:
             return 0
-        return self.z_up_slots if src_client else self.z_down_slots
+        return self.z_up_slots if direction == UP else self.z_down_slots
 
     def to_json(self, path: str | Path) -> None:
         write_json(path, asdict(self))
@@ -100,6 +101,15 @@ class SystemParams:
         return cls(**data)
 
     replace = dataclasses.replace
+
+
+def transfer_direction(src_location: str, dst_location: str) -> str | None:
+    """`UP` for a dependency edge from the client to the server side, `DOWN`
+    back, None on one side.  Any location but `CLIENT` is the server side."""
+    src_client, dst_client = src_location == CLIENT, dst_location == CLIENT
+    if src_client == dst_client:
+        return None
+    return UP if src_client else DOWN
 
 
 # epsilon last: every float field before it must be positive.
@@ -138,15 +148,17 @@ def exec_slots(workload_cycles: int, freq_hz: float, delta_s: float) -> int:
     """Whole slots needed to run `workload_cycles` at `freq_hz`: 0 for empty work."""
     if freq_hz <= 0:
         raise ValueError(f"frequency must be positive, got {freq_hz}")
-    return _ceil_slots(workload_cycles, Fraction(freq_hz) * Fraction(delta_s))
+    return _ceil_slots([workload_cycles], Fraction(freq_hz) * Fraction(delta_s))[0]
 
 
-def _ceil_slots(workload_cycles: int, cycles_per_slot: Fraction) -> int:
+def _ceil_slots(workloads: list[int], cycles_per_slot: Fraction) -> list[int]:
     # ceil(w / (p/q)) = ceil(w*q / p), by floor division of the negation:
     # exact on integers, with one Fraction per frequency instead of per node.
-    if workload_cycles < 0:
-        raise ValueError(f"workload must be nonnegative, got {workload_cycles}")
-    return -(-workload_cycles * cycles_per_slot.denominator // cycles_per_slot.numerator)
+    if min(workloads, default=0) < 0:
+        bad = next(w for w in workloads if w < 0)
+        raise ValueError(f"workload must be nonnegative, got {bad}")
+    q, p = cycles_per_slot.denominator, cycles_per_slot.numerator
+    return [-(-w * q // p) for w in workloads]
 
 
 @dataclass(frozen=True)
@@ -178,8 +190,9 @@ def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
     key = (params.f_c_hz, params.f_s_hz, params.delta_s, params.kappa, params.theta_up, params.theta_down)
     table = graph._slot_tables.get(key)
     if table is None:
+        ids, workloads = graph.node_ids, graph.node_workloads
         client, server = (
-            {m.id: _ceil_slots(m.workload_cycles, per_slot) for m in graph.modules}
+            dict(zip(ids, _ceil_slots(workloads, per_slot)))
             for per_slot in (
                 Fraction(params.f_c_hz) * Fraction(params.delta_s),
                 Fraction(params.f_s_hz) * Fraction(params.delta_s),
@@ -187,9 +200,9 @@ def slot_table(graph: TaskGraph, params: SystemParams) -> SlotTable:
         )
         coef = params.kappa * params.f_c_hz * params.f_c_hz
         try:  # an int beyond float range, or a sum beyond it, overflows
-            local = {m.id: coef * m.workload_cycles for m in graph.modules}
-            up = [e.bits * params.theta_up for e in graph.edges]
-            down = [e.bits * params.theta_down for e in graph.edges]
+            local = dict(zip(ids, [coef * w for w in workloads]))
+            up = [b * params.theta_up for b in graph.edge_bits]
+            down = [b * params.theta_down for b in graph.edge_bits]
             total = math.fsum(local.values()) + math.fsum(up) + math.fsum(down)
         except OverflowError:
             total = math.inf
@@ -243,13 +256,13 @@ def worst_case_expected_energy(
     are the ones `slot_table` holds.
     """
     table, location = slot_table(graph, params), decision.location
-    local = math.fsum([table.local[m.id] for m in graph.modules if location[m.id] == CLIENT])
+    local = math.fsum([table.local[n] for n in graph.node_ids if location[n] == CLIENT])
     up_terms, down_terms = [], []
-    for e, up, down in zip(graph.edges, table.up, table.down):
-        src_client = location[e.src] == CLIENT
-        if src_client and location[e.dst] != CLIENT:
+    for src, dst, up, down in zip(graph.edge_src, graph.edge_dst, table.up, table.down):
+        src_client = location[src] == CLIENT
+        if src_client and location[dst] != CLIENT:
             up_terms.append(up)
-        elif not src_client and location[e.dst] == CLIENT:
+        elif not src_client and location[dst] == CLIENT:
             down_terms.append(down)
     up, down = math.fsum(up_terms), math.fsum(down_terms)
     return EnergyReport(
@@ -290,36 +303,34 @@ def check_constraints(
             )
         )
 
+    location, slot = decision.location, decision.slot
+    start: dict[int, int] = {}  # the slot after which each node's execution may start
     for node in graph.node_ids:
-        t = decision.slot[node]
+        t, need = slot[node], slots.at(node, location[node])
+        start[node] = t - need
         if t < 0 or t > params.deadline_slots:
             violations.append(
                 Violation("slot-range", (node,), f"slot {t} outside 0..{params.deadline_slots}")
             )
-        if not graph.parents[node]:
-            need = slots.at(node, decision.location[node])
-            if t < need:
-                violations.append(
-                    Violation(
-                        "source-exec",
-                        (node,),
-                        f"source node {node} completes at slot {t} before its {need}-slot execution",
-                    )
+        if t < need and not graph.parent_id[graph.parent_slice(node)]:  # a source
+            violations.append(
+                Violation(
+                    "source-exec",
+                    (node,),
+                    f"source node {node} completes at slot {t} before its {need}-slot execution",
                 )
+            )
 
-    for e in graph.edges:
-        required = params.transfer_slots(decision.location[e.src], decision.location[e.dst])
-        bound = (
-            decision.slot[e.dst]
-            - decision.slot[e.src]
-            - slots.at(e.dst, decision.location[e.dst])
-        )
+    places = set(location.values())  # one transfer rule lookup per pair of them
+    transfer = {(a, b): params.transfer_slots(a, b) for a in places for b in places}
+    for src, dst in zip(graph.edge_src, graph.edge_dst):
+        required, bound = transfer[location[src], location[dst]], start[dst] - slot[src]
         if bound < required:
             violations.append(
                 Violation(
                     "dependency",
-                    (e.src, e.dst),
-                    f"edge {e.src}->{e.dst} needs {required} transfer slots but has bound {bound}",
+                    (src, dst),
+                    f"edge {src}->{dst} needs {required} transfer slots but has bound {bound}",
                 )
             )
     return violations

@@ -298,22 +298,25 @@ def fit_gev_mle(maxima: np.ndarray, max_iter: int = 2000) -> GevParams:
     the likelihood is not convex, and is halved until the point lies in the
     support and the likelihood does not rise.  The search stops when the
     step's predicted decrease falls below 1e-10 of the likelihood's
-    magnitude, or after max_iter steps.
+    magnitude, or after max_iter steps.  It gives up at once when it reaches
+    xi < -1 with the upper endpoint mu - sigma/xi on the sample maximum,
+    where the likelihood is unbounded.
 
     Deterministic.  Raises DegenerateSampleError for constant input and
     FitConvergenceError (carrying the best point found) if the search does
-    not converge within max_iter steps or no halving of a step lowers the
-    likelihood.
+    not converge within max_iter steps, no halving of a step lowers the
+    likelihood, or the likelihood is unbounded.
     """
     x = np.asarray(maxima, dtype=float)
     if len(x) < 10:
         raise ValueError(f"need at least 10 block maxima, got {len(x)}")
-    if float(np.max(x)) == float(np.min(x)):
+    x_max = float(np.max(x))
+    if x_max == float(np.min(x)):
         raise DegenerateSampleError("all block maxima are identical")
 
     theta = _mle_start(x)
     f, grad, hess = _nll_derivatives(theta, x)
-    converged = False
+    converged = unbounded = False
     for _ in range(max_iter):
         w, v = np.linalg.eigh(hess)
         step = -v @ ((v.T @ grad) / np.abs(w))
@@ -331,10 +334,21 @@ def fit_gev_mle(maxima: np.ndarray, max_iter: int = 2000) -> GevParams:
         f, grad, hess = trial
         if converged:
             break
+        # Below xi = -1 the density grows without bound at the upper
+        # endpoint mu - sigma/xi, so once that endpoint sits on the sample
+        # maximum (to rounding) no step count converges.
+        unbounded = theta[2] < -1.0 and theta[0] - math.exp(theta[1]) / theta[2] <= x_max
+        if unbounded:
+            break
     mu, sigma, xi = float(theta[0]), math.exp(theta[1]), float(theta[2])
     if abs(xi) < XI_ZERO_TOL:
         xi = 0.0
     params = GevParams(mu=mu, sigma=max(sigma, 1e-300), xi=xi)
+    if unbounded:
+        raise FitConvergenceError(
+            f"likelihood is unbounded for xi < -1: the search reached xi = {xi} "
+            f"with the upper endpoint on the sample maximum {x_max}", params
+        )
     if not converged:
         raise FitConvergenceError(
             f"likelihood search did not converge (at most {max_iter} Newton steps)", params

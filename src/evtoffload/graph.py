@@ -7,10 +7,12 @@ on the client device.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,49 +50,87 @@ class DataEdge:
     bits: int
 
 
-@dataclass
 class TaskGraph:
-    """DAG of task modules. Treat as immutable: derived indices are cached on first use.
+    """DAG of task modules, held as flat columns.  Treat as immutable:
+    derived tables are cached on first use.
 
-    `parents` and `children` list, for each node id, the ids at the other
-    end of its edges, ascending.
+    The columns keep the input order: `node_ids` and `node_workloads` per
+    node, `edge_src`, `edge_dst` and `edge_bits` per edge, whose position is
+    its edge id.  The CSR lists group the edges by node.  Their rows are the
+    distinct node ids ascending, `row_ids`, and `row` maps an id to its row.
+    For row r, `parent_edge[parent_ptr[r]:parent_ptr[r + 1]]` are the ids of
+    the edges into its node, ascending by source, and the same slice of
+    `parent_id` holds those sources; `child_ptr`, `child_edge` and
+    `child_id` hold the edges out of it, ascending by target.  An edge end
+    that names no node has no row.
+
+    A graph loaded by `graph_from_dict` is built from its columns; its
+    `modules` and `edges` objects are made from them on first use.
+    `parents` and `children` map each node id to the ids at the other end
+    of its edges, ascending.
     """
 
-    modules: list[TaskModule]
-    edges: list[DataEdge]
+    def __init__(self, modules: list[TaskModule], edges: list[DataEdge]):
+        self.modules, self.edges = modules, edges
+        self._set_columns(
+            [m.id for m in modules], [m.workload_cycles for m in modules],
+            [e.src for e in edges], [e.dst for e in edges], [e.bits for e in edges],
+        )
 
-    def __post_init__(self):
-        self.parents: dict[int, list[int]] = {m.id: [] for m in self.modules}
-        self.children: dict[int, list[int]] = {m.id: [] for m in self.modules}
-        # In (src, dst) order, so that both lists of every node come out sorted.
-        for src, dst in sorted((e.src, e.dst) for e in self.edges):
-            if src in self.children:
-                self.children[src].append(dst)
-            if dst in self.parents:
-                self.parents[dst].append(src)
+    @classmethod
+    def from_columns(cls, node_ids, node_workloads, edge_src, edge_dst, edge_bits) -> "TaskGraph":
+        """A graph of lists of ints, one per node or edge, in input order."""
+        graph = cls.__new__(cls)
+        graph._set_columns(node_ids, node_workloads, edge_src, edge_dst, edge_bits)
+        return graph
+
+    def _set_columns(self, node_ids, node_workloads, edge_src, edge_dst, edge_bits) -> None:
+        self.node_ids, self.node_workloads = node_ids, node_workloads
+        self.edge_src, self.edge_dst, self.edge_bits = edge_src, edge_dst, edge_bits
+        self.row_ids = sorted(set(node_ids))
+        self.row = dict(zip(self.row_ids, itertools.count()))
+        self.parent_ptr, self.parent_edge, self.parent_id = _csr(self.row, edge_dst, edge_src)
+        self.child_ptr, self.child_edge, self.child_id = _csr(self.row, edge_src, edge_dst)
+
+    @functools.cached_property
+    def modules(self) -> list[TaskModule]:
+        return list(map(TaskModule, self.node_ids, self.node_workloads))
+
+    @functools.cached_property
+    def edges(self) -> list[DataEdge]:
+        return list(map(DataEdge, self.edge_src, self.edge_dst, self.edge_bits))
+
+    @functools.cached_property
+    def parents(self) -> dict[int, list[int]]:
+        return _by_node(self, self.parent_ptr, self.parent_id)
+
+    @functools.cached_property
+    def children(self) -> dict[int, list[int]]:
+        return _by_node(self, self.child_ptr, self.child_id)
 
     @property
     def n_nodes(self) -> int:
-        return len(self.modules)
-
-    @property
-    def node_ids(self) -> list[int]:
-        return [m.id for m in self.modules]
+        return len(self.node_ids)
 
     def workload(self, node: int) -> int:
         return self._workloads[node]
 
     @functools.cached_property
     def _workloads(self) -> dict[int, int]:
-        return {m.id: m.workload_cycles for m in self.modules}
+        return dict(zip(self.node_ids, self.node_workloads))
 
     @functools.cached_property
     def edge_index(self) -> dict[tuple[int, int], int]:
         """Position in `edges` of each (src, dst) pair."""
-        return {(e.src, e.dst): i for i, e in enumerate(self.edges)}
+        return dict(zip(zip(self.edge_src, self.edge_dst), itertools.count()))
 
     def bits(self, src: int, dst: int) -> int:
-        return self.edges[self.edge_index[(src, dst)]].bits
+        return self.edge_bits[self.edge_index[(src, dst)]]
+
+    def parent_slice(self, node: int) -> slice:
+        """`node`'s part of `parent_edge` and `parent_id`."""
+        r = self.row[node]
+        return slice(self.parent_ptr[r], self.parent_ptr[r + 1])
 
     @functools.cached_property
     def _slot_tables(self) -> dict:
@@ -99,33 +139,41 @@ class TaskGraph:
 
     @functools.cached_property
     def _topological_order(self) -> tuple[int, ...]:
-        # Kahn's algorithm over the known parents of each node, self-loops
-        # aside; the heap breaks ties by ascending id.
-        parents, children = self.parents, self.children
-        indeg = {v: sum(u in parents and u != v for u in ps) for v, ps in parents.items()}
-        heap = [v for v, d in indeg.items() if d == 0]
-        heapq.heapify(heap)
+        ptr, row_ids = self.parent_ptr, self.row_ids
+        if all(map(operator.lt, self.edge_src, self.edge_dst)):
+            # Every edge points up the ids, so the smallest unplaced id is
+            # always free, and Kahn's algorithm below places the ids in order.
+            return tuple(row_ids)
+        # Kahn's algorithm over the rows, which ascend by id, so the heap
+        # breaks ties by ascending id.  A parent counts when it is a node
+        # other than the child itself.
+        parent_row = list(map(self.row.get, self.parent_id, itertools.repeat(-1)))
+        known = [[p for p in parent_row[ptr[r]:ptr[r + 1]] if p >= 0 and p != r] for r in range(len(row_ids))]
+        indeg = list(map(len, known))
+        heap = [r for r, d in enumerate(indeg) if d == 0]
+        child_row = list(map(self.row.get, self.child_id, itertools.repeat(-1)))
+        cptr = self.child_ptr
         order: list[int] = []
         while heap:
             u = heapq.heappop(heap)
             order.append(u)
-            for v in children[u]:  # a self-loop takes u's own count below 0
-                if v in indeg:
+            for v in child_row[cptr[u]:cptr[u + 1]]:  # a self-loop takes u's own count below 0
+                if v >= 0:
                     indeg[v] -= 1
                     if indeg[v] == 0:
                         heapq.heappush(heap, v)
 
-        if len(order) != len(indeg):
+        if len(order) != len(row_ids):
             # Every unplaced node has an unplaced parent: walk up from the
             # smallest one until a node repeats, which closes a cycle.
             placed = set(order)
             seen: set[int] = set()
-            v = min(indeg.keys() - placed)
+            v = min(set(range(len(row_ids))) - placed)
             while v not in seen:
                 seen.add(v)
-                u, v = v, next(p for p in parents[v] if p in parents and p != v and p not in placed)
-            raise GraphError(f"cycle detected through edge {v}->{u}")
-        return tuple(order)
+                u, v = v, next(p for p in known[v] if p not in placed)
+            raise GraphError(f"cycle detected through edge {row_ids[v]}->{row_ids[u]}")
+        return tuple(row_ids[r] for r in order)
 
     @functools.cached_property
     def _violations(self) -> tuple[str, ...]:
@@ -134,6 +182,24 @@ class TaskGraph:
     def interior_ids(self) -> list[int]:
         n = self.n_nodes
         return [i for i in self.node_ids if 1 < i < n]
+
+
+def _csr(row: dict[int, int], ends: list[int], others: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(ptr, edge ids, other-end ids) of the edges grouped by the row of
+    `ends`, each group ascending by the other end, then by edge id.  An edge
+    whose end has no row is left out."""
+    end_row = list(map(row.get, ends, itertools.repeat(-1)))
+    order = sorted(range(len(ends)), key=others.__getitem__)
+    order.sort(key=end_row.__getitem__)  # stable: keeps each row's order
+    del order[:end_row.count(-1)]
+    counts = collections.Counter(end_row)
+    ptr = [0, *itertools.accumulate(map(counts.__getitem__, range(len(row))))]
+    return ptr, order, list(map(others.__getitem__, order))
+
+
+def _by_node(graph: TaskGraph, ptr: list[int], other: list[int]) -> dict[int, list[int]]:
+    row = graph.row
+    return {v: other[ptr[row[v]]:ptr[row[v] + 1]] for v in dict.fromkeys(graph.node_ids)}
 
 
 def validate_graph(graph: TaskGraph) -> list[str]:
@@ -155,40 +221,49 @@ def check_graph(graph: TaskGraph) -> None:
 
 def _find_violations(graph: TaskGraph) -> list[str]:
     violations: list[str] = []
-    ids = [m.id for m in graph.modules]
-    n = len(ids)
+    ids, n = graph.node_ids, graph.n_nodes
 
     if n < 2:
         violations.append("graph must contain at least 2 modules")
-    if len(set(ids)) != n:
+    if len(graph.row_ids) != n:
         violations.append("duplicate node ids")
-    elif ids and (min(ids) != 1 or max(ids) != n or set(ids) != set(range(1, n + 1))):
+    elif ids and (graph.row_ids[0] != 1 or graph.row_ids[-1] != n):
         violations.append("non-contiguous ids (expected 1..N)")
 
-    id_set = set(ids)
-    for m in graph.modules:
-        if m.workload_cycles < 0:
-            violations.append(f"negative workload on node {m.id}")
-        elif 1 < m.id < n and m.workload_cycles == 0:
-            violations.append(f"zero workload on interior node {m.id}")
+    for node, workload in zip(ids, graph.node_workloads):
+        if workload < 0:
+            violations.append(f"negative workload on node {node}")
+        elif 1 < node < n and workload == 0:
+            violations.append(f"zero workload on interior node {node}")
 
-    seen_pairs = set()
-    for e in graph.edges:
-        if e.src == e.dst:
-            violations.append(f"self-loop on node {e.src}")
-        if e.src not in id_set or e.dst not in id_set:
-            violations.append(f"edge {e.src}->{e.dst} references unknown node")
-            continue
-        if (e.src, e.dst) in seen_pairs:
-            violations.append(f"duplicate edge {e.src}->{e.dst}")
-        seen_pairs.add((e.src, e.dst))
-        if e.bits < 0:
-            violations.append(f"negative bits on edge {e.src}->{e.dst}")
+    src, dst, bits = graph.edge_src, graph.edge_dst, graph.edge_bits
+    pairs = set(zip(src, dst))
+    # Checked per list; only a graph that fails is walked edge by edge,
+    # which names each defect in edge order.
+    if (
+        len(pairs) != len(src)
+        or not graph.row.keys() >= {*src, *dst}
+        or any(map(operator.eq, src, dst))
+        or min(bits, default=0) < 0
+    ):
+        seen_pairs = set()
+        for u, v, b in zip(src, dst, bits):
+            if u == v:
+                violations.append(f"self-loop on node {u}")
+            if u not in graph.row or v not in graph.row:
+                violations.append(f"edge {u}->{v} references unknown node")
+                continue
+            if (u, v) in seen_pairs:
+                violations.append(f"duplicate edge {u}->{v}")
+            seen_pairs.add((u, v))
+            if b < 0:
+                violations.append(f"negative bits on edge {u}->{v}")
 
-    if n >= 1 and 1 in graph.parents and graph.parents[1]:
-        violations.append("node 1 must have no parents")
-    if n >= 1 and n in graph.children and graph.children.get(n):
-        violations.append(f"node {n} must have no children")
+    for node, ptr, message in ((1, graph.parent_ptr, "node 1 must have no parents"),
+                               (n, graph.child_ptr, f"node {n} must have no children")):
+        r = graph.row.get(node)
+        if r is not None and ptr[r] != ptr[r + 1]:
+            violations.append(message)
 
     try:
         topological_order(graph)
@@ -229,24 +304,33 @@ def graph_from_dict(data: dict) -> TaskGraph:
             raise SchemaError(f"missing or invalid '{key}' list")
     if not data["nodes"]:
         raise SchemaError("empty node list")
+    node_ids, node_workloads = _columns(data["nodes"], "node", ("id", "workload_cycles"))
+    edge_src, edge_dst, edge_bits = _columns(data["edges"], "edge", ("from", "to", "bits"))
+    return TaskGraph.from_columns(node_ids, node_workloads, edge_src, edge_dst, edge_bits)
 
-    modules = []
-    for item in data["nodes"]:
-        if not isinstance(item, dict) or set(item) != {"id", "workload_cycles"}:
-            raise SchemaError(f"bad node entry: {item!r}")
-        if not all(is_int(item[k]) for k in ("id", "workload_cycles")):
-            raise SchemaError(f"node fields must be integers: {item!r}")
-        modules.append(TaskModule(item["id"], item["workload_cycles"]))
 
-    edges = []
-    for item in data["edges"]:
-        if not isinstance(item, dict) or set(item) != {"from", "to", "bits"}:
-            raise SchemaError(f"bad edge entry: {item!r}")
-        if not all(is_int(item[k]) for k in ("from", "to", "bits")):
-            raise SchemaError(f"edge fields must be integers: {item!r}")
-        edges.append(DataEdge(item["from"], item["to"], item["bits"]))
+def _columns(items: list, what: str, keys: tuple[str, ...]) -> list[list[int]]:
+    """The `keys` columns of a list of entries, each a dict of exactly these
+    keys with int values.
 
-    return TaskGraph(modules, edges)
+    The checks run per list.  Only a list that fails them is walked entry by
+    entry, so that the error names its first bad entry.
+    """
+    if set(map(type, items)) <= {dict} and set(map(len, items)) <= {len(keys)}:
+        try:
+            columns = [list(map(operator.itemgetter(key), items)) for key in keys]
+        except KeyError:
+            pass
+        else:
+            if set(map(type, itertools.chain.from_iterable(columns))) <= {int}:
+                return columns
+    for item in items:
+        if not isinstance(item, dict) or set(item) != set(keys):
+            raise SchemaError(f"bad {what} entry: {item!r}")
+        if not all(is_int(item[key]) for key in keys):
+            raise SchemaError(f"{what} fields must be integers: {item!r}")
+    # Every entry passed: some are subclasses of dict or int.
+    return [[item[key] for item in items] for key in keys]
 
 
 def load_graph(path: str | Path) -> TaskGraph:

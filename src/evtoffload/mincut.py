@@ -39,11 +39,11 @@ def min_cut(graph: TaskGraph, params: SystemParams) -> tuple[list[int], int, int
     n = graph.n_nodes
     table = slot_table(graph, params)
     vertex = list(range(n)) + [SOURCE]  # node id -> vertex; node N joins s
-    arcs = [(vertex[m.id], SINK, table.local[m.id], 0.0) for m in graph.modules]
+    arcs = [(vertex[node], SINK, table.local[node], 0.0) for node in graph.node_ids]
     arcs += [
-        (vertex[e.src], vertex[e.dst], up, down)
-        for e, up, down in zip(graph.edges, table.up, table.down)
-        if vertex[e.src] != vertex[e.dst]
+        (vertex[src], vertex[dst], up, down)
+        for src, dst, up, down in zip(graph.edge_src, graph.edge_dst, table.up, table.down)
+        if vertex[src] != vertex[dst]
     ]
     scale = max(x.as_integer_ratio()[1] for arc in arcs for x in arc[2:])
     head, cap, adj = [], [], [[] for _ in range(n)]

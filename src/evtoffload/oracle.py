@@ -53,12 +53,12 @@ def earliest_completion(
     Feasible when every node (hence the final one) finishes by the deadline.
     """
     slots = slot_table(graph, params)
-    transfer = params.transfer_slots
+    transfer, parents = params.transfer_slots, graph.parents
     ec: dict[int, int] = {}
     for node in topological_order(graph):
         where = location[node]
         ready = 0
-        for parent in graph.parents[node]:
+        for parent in parents[node]:
             ready = max(ready, ec[parent] + transfer(location[parent], where))
         ec[node] = ready + slots.at(node, where)
     feasible = max(ec.values()) <= params.deadline_slots

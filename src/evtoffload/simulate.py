@@ -31,6 +31,7 @@ completion slot past the deadline reads `deadline_slots + 1`.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, asdict
@@ -38,13 +39,16 @@ from pathlib import Path
 
 from .energy import (
     CLIENT,
+    DOWN,
     SERVER,
+    UP,
     OffloadDecision,
     SystemParams,
     TraceExhaustedError,
     as_integer,
     is_finite_number,
     slot_table,
+    transfer_direction,
 )
 from .gev import GevParams, gev_sample
 from .graph import DataEdge, TaskGraph, TaskModule, topological_order, write_json
@@ -213,37 +217,35 @@ class _Replay:
         self.cap = params.deadline_slots + 1
         self.order = topological_order(graph)
         position = {node: j for j, node in enumerate(self.order)}
-        table, index = slot_table(graph, params), graph.edge_index
+        table, location = slot_table(graph, params), decision.location
 
-        # Per node: parent positions, its rows of the edge-slot matrix (the
-        # edges into it, contiguous in visit order) and its execution slots.
-        self.steps: list[tuple[np.ndarray, int, int, int]] = []
-        self.cross: list[tuple[int, int, str, int]] = []  # (src, dst, direction, column)
-        edge_rows: dict[str, list[int]] = {"up": [], "down": []}
-        bits: dict[str, list[int]] = {"up": [], "down": []}
-        n_edges = 0
+        # The edges into each node are rows lo..hi of the edge-slot matrix,
+        # contiguous in visit order; `parent_pos` holds each row's parent.
+        self.steps: list[tuple[int, int, int]] = []  # (lo, hi, execution slots) per node
+        visit: list[tuple[int, int, int]] = []  # (parent, node, edge id) per row
         for node in self.order:
-            parents = graph.parents[node]
-            node_client = decision.is_client(node)
-            for parent in parents:
-                parent_client = decision.is_client(parent)
-                if parent_client != node_client:
-                    direction = "up" if parent_client else "down"
-                    self.cross.append((parent, node, direction, len(bits[direction])))
-                    edge_rows[direction].append(n_edges)
-                    bits[direction].append(graph.edges[index[(parent, node)]].bits)
-                n_edges += 1
-            run_slots = min(table.at(node, decision.location[node]), self.cap)
-            parent_pos = np.array([position[p] for p in parents], dtype=np.intp)
-            self.steps.append((parent_pos, n_edges - len(parents), n_edges, run_slots))
-        self.n_edges = n_edges
+            entries = graph.parent_slice(node)
+            visit += zip(graph.parent_id[entries], itertools.repeat(node), graph.parent_edge[entries])
+            run_slots = min(table.at(node, location[node]), self.cap)
+            self.steps.append((len(visit) - (entries.stop - entries.start), len(visit), run_slots))
+        self.parent_pos = np.array([position[parent] for parent, _, _ in visit], dtype=np.intp)
+        self.cross: list[tuple[int, int, str, int]] = []  # (src, dst, direction, column)
+        edge_rows: dict[str, list[int]] = {UP: [], DOWN: []}
+        bits: dict[str, list[int]] = {UP: [], DOWN: []}
+        for row, (parent, node, edge) in enumerate(visit):
+            direction = transfer_direction(location[parent], location[node])
+            if direction is not None:
+                self.cross.append((parent, node, direction, len(bits[direction])))
+                edge_rows[direction].append(row)
+                bits[direction].append(graph.edge_bits[edge])
+        self.n_edges = n_edges = len(visit)
         self.sink = position[graph.n_nodes]
         self.edge_rows = {d: np.array(rows, dtype=np.intp) for d, rows in edge_rows.items()}
         self.bits = {d: np.array(b, dtype=float) for d, b in bits.items()}
-        self.exec_terms = [table.local[m.id] for m in graph.modules if decision.is_client(m.id)]
+        self.exec_terms = [table.local[n] for n in graph.node_ids if decision.is_client(n)]
         self.specs = {  # drawn in this order
-            "up": (model.queue_up_bits, model.rate_up, model.power_up),
-            "down": (model.queue_down_bits, model.rate_down, model.power_down),
+            UP: (model.queue_up_bits, model.rate_up, model.power_up),
+            DOWN: (model.queue_down_bits, model.rate_down, model.power_down),
         }
         # Elements per replication of the largest per-chunk arrays.
         self.width = max(len(self.order), n_edges, len(self.exec_terms) + len(self.cross), 1)
@@ -251,9 +253,9 @@ class _Replay:
     def run(self, rngs: list[np.random.Generator]) -> _Chunk:
         """Replay once per generator; row i of every array belongs to rngs[i]."""
         rows = len(rngs)
-        raw = {d: np.empty((3, rows, len(self.bits[d]))) for d in ("up", "down")}
+        raw = {d: np.empty((3, rows, len(self.bits[d]))) for d in (UP, DOWN)}
         for i, rng in enumerate(rngs):
-            for direction in ("up", "down"):
+            for direction in (UP, DOWN):
                 size = len(self.bits[direction])
                 if size:
                     for q, spec in enumerate(self.specs[direction]):
@@ -265,7 +267,7 @@ class _Replay:
         edge_slots = np.zeros((self.n_edges, rows), dtype=np.int64)
         seconds = {}
         column = n_exec
-        for direction in ("up", "down"):
+        for direction in (UP, DOWN):
             bits = self.bits[direction]
             queue = np.maximum(raw[direction][0], 0.0)
             rate = np.maximum(raw[direction][1], self.rate_floor)
@@ -278,11 +280,11 @@ class _Replay:
             edge_slots[self.edge_rows[direction]] = transfer.T.astype(np.int64)
 
         done = np.empty((len(self.order), rows), dtype=np.int64)
-        for j, (parent_pos, lo, hi, run_slots) in enumerate(self.steps):
+        for j, (lo, hi, run_slots) in enumerate(self.steps):
             if lo == hi:
                 done[j] = run_slots
             else:
-                ready = (done[parent_pos] + edge_slots[lo:hi]).max(axis=0)
+                ready = (done[self.parent_pos[lo:hi]] + edge_slots[lo:hi]).max(axis=0)
                 np.minimum(ready + run_slots, self.cap, out=done[j])
         return _Chunk(
             energy=[math.fsum(row) for row in terms.tolist()],
@@ -340,7 +342,7 @@ def monte_carlo(
         raise ValueError(f"replications must be >= 1, got {replications}")
     replay = _Replay(graph, decision, model, params)
     threshold = {}
-    for direction, slots in (("up", params.z_up_slots), ("down", params.z_down_slots)):
+    for direction, slots in ((UP, params.z_up_slots), (DOWN, params.z_down_slots)):
         try:
             threshold[direction] = slots * params.delta_s
         except OverflowError:  # a slot count beyond float range

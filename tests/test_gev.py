@@ -262,6 +262,25 @@ def test_fit_iteration_cap_error_carries_best_params():
     assert math.isfinite(carried.mu)
 
 
+@pytest.mark.parametrize("seed", [0, 10])
+def test_fit_stops_at_once_where_the_likelihood_is_unbounded(monkeypatch, seed):
+    # Short-tailed samples whose search runs to xi < -1 with the upper
+    # endpoint on the sample maximum; the step budget used to run out there.
+    from evtoffload import gev
+    from evtoffload.gev import FitConvergenceError
+
+    sample = gev_sample(GevParams(0.0, 1.0, -0.8), np.random.default_rng(seed), size=30)
+    calls = []
+    derivatives = gev._nll_derivatives
+    monkeypatch.setattr(gev, "_nll_derivatives", lambda theta, x: calls.append(1) or derivatives(theta, x))
+    with pytest.raises(FitConvergenceError, match=r"likelihood is unbounded for xi < -1") as excinfo:
+        fit_gev_mle(sample)
+    carried = excinfo.value.params
+    assert carried.xi < -1
+    assert carried.mu - carried.sigma / carried.xi <= sample.max()
+    assert len(calls) < 200
+
+
 @pytest.mark.parametrize("xi", [0.3, -0.2, 2e-3, 1e-7, 0.0])
 def test_nll_derivatives_match_finite_differences(xi):
     # xi of 0 and 1e-7 put every maximum below the |xi*y| at which the

@@ -214,6 +214,10 @@ def _nodes(*workloads):
     ({"nodes": {"1": 0}, "edges": []}, SchemaError, "missing or invalid 'nodes' list"),
     ({"nodes": _nodes(0, 0), "edges": [{"from": 1, "to": 2}]}, SchemaError, "bad edge entry"),
     ({"nodes": _nodes(0, 0), "edges": [[1, 2, 3]]}, SchemaError, "bad edge entry"),
+    ({"nodes": [{"id": 1, "workload_cycles": True}, {"id": 2, "workload_cycles": 0}], "edges": []},
+     SchemaError, "node fields must be integers: {'id': 1, 'workload_cycles': True}"),
+    ({"nodes": _nodes(0, 0), "edges": [{"from": 1, "to": 2, "bits": 1.0}]},
+     SchemaError, "edge fields must be integers: {'from': 1, 'to': 2, 'bits': 1.0}"),
 ])
 def test_load_graph_names_each_input_error(tmp_path, capsys, data, error, message):
     path = tmp_path / "bad.json"
@@ -303,3 +307,187 @@ def test_generated_graphs_always_validate(seed):
     spec = LayeredDagSpec(n_nodes=n, edge_prob=0.2)
     graph = gen_layered_dag(spec, rng)
     assert validate_graph(graph) == []
+
+
+# --- the column loader against a per-entry reference --------------------------
+
+def _reference_load(data):
+    """The per-entry loader that the columns replace, with the graph facts it
+    derived from the objects: (modules, edges, parents, children, the
+    topological order or the cycle message, violations)."""
+    if not isinstance(data, dict):
+        raise SchemaError("top level must be a JSON object")
+    for key in ("nodes", "edges"):
+        if key not in data or not isinstance(data[key], list):
+            raise SchemaError(f"missing or invalid '{key}' list")
+    if not data["nodes"]:
+        raise SchemaError("empty node list")
+    modules = []
+    for item in data["nodes"]:
+        if not isinstance(item, dict) or set(item) != {"id", "workload_cycles"}:
+            raise SchemaError(f"bad node entry: {item!r}")
+        if not all(graph_module.is_int(item[k]) for k in ("id", "workload_cycles")):
+            raise SchemaError(f"node fields must be integers: {item!r}")
+        modules.append(TaskModule(item["id"], item["workload_cycles"]))
+    edges = []
+    for item in data["edges"]:
+        if not isinstance(item, dict) or set(item) != {"from", "to", "bits"}:
+            raise SchemaError(f"bad edge entry: {item!r}")
+        if not all(graph_module.is_int(item[k]) for k in ("from", "to", "bits")):
+            raise SchemaError(f"edge fields must be integers: {item!r}")
+        edges.append(DataEdge(item["from"], item["to"], item["bits"]))
+
+    parents = {m.id: [] for m in modules}
+    children = {m.id: [] for m in modules}
+    for src, dst in sorted((e.src, e.dst) for e in edges):
+        if src in children:
+            children[src].append(dst)
+        if dst in parents:
+            parents[dst].append(src)
+
+    indeg = {v: sum(u in parents and u != v for u in ps) for v, ps in parents.items()}
+    heap = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while heap:
+        u = heap.pop(0)
+        order.append(u)
+        for v in children[u]:
+            if v in indeg:
+                indeg[v] -= 1
+                if indeg[v] == 0:
+                    heap = sorted(heap + [v])
+    if len(order) != len(indeg):
+        placed, seen = set(order), set()
+        v = min(indeg.keys() - placed)
+        while v not in seen:
+            seen.add(v)
+            u, v = v, next(p for p in parents[v] if p in parents and p != v and p not in placed)
+        order = f"cycle detected through edge {v}->{u}"
+
+    violations = []
+    ids = [m.id for m in modules]
+    n = len(ids)
+    if n < 2:
+        violations.append("graph must contain at least 2 modules")
+    if len(set(ids)) != n:
+        violations.append("duplicate node ids")
+    elif ids and (min(ids) != 1 or max(ids) != n or set(ids) != set(range(1, n + 1))):
+        violations.append("non-contiguous ids (expected 1..N)")
+    for m in modules:
+        if m.workload_cycles < 0:
+            violations.append(f"negative workload on node {m.id}")
+        elif 1 < m.id < n and m.workload_cycles == 0:
+            violations.append(f"zero workload on interior node {m.id}")
+    seen_pairs = set()
+    for e in edges:
+        if e.src == e.dst:
+            violations.append(f"self-loop on node {e.src}")
+        if e.src not in parents or e.dst not in parents:
+            violations.append(f"edge {e.src}->{e.dst} references unknown node")
+            continue
+        if (e.src, e.dst) in seen_pairs:
+            violations.append(f"duplicate edge {e.src}->{e.dst}")
+        seen_pairs.add((e.src, e.dst))
+        if e.bits < 0:
+            violations.append(f"negative bits on edge {e.src}->{e.dst}")
+    if parents.get(1):
+        violations.append("node 1 must have no parents")
+    if children.get(n):
+        violations.append(f"node {n} must have no children")
+    if isinstance(order, str):
+        violations.append(order)
+    return modules, edges, parents, children, order, violations
+
+
+_NODE_KEYS, _EDGE_KEYS = ("id", "workload_cycles"), ("from", "to", "bits")
+_NOT_INTS = st.sampled_from([True, False, 1.5, 2.0, "1", None, [1]])
+
+
+@st.composite
+def dag_dicts(draw):
+    """DAG dicts with node ids from 1..8 (duplicates allowed) and edge ends
+    from 0..9: unknown ends, self-loops, duplicate edges and cycles come up.
+    Some have entries broken: a value that is not an int, a key missing or
+    extra, an entry that is not a dict, or a broken top level."""
+    ids = draw(st.lists(st.integers(1, 8), min_size=1, max_size=8))
+    data = {
+        "nodes": [{"id": i, "workload_cycles": draw(st.integers(-1, 3))} for i in ids],
+        "edges": [
+            {"from": u, "to": v, "bits": draw(st.integers(-1, 5))}
+            for u, v in draw(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=12))
+        ],
+    }
+    if draw(st.booleans()):  # point every edge up the ids: acyclic but for self-loops
+        for edge in data["edges"]:
+            edge["from"], edge["to"] = sorted((edge["from"], edge["to"]))
+    for _ in range(draw(st.integers(0, 2))):
+        key = draw(st.sampled_from(["nodes", "edges"]))
+        entries = data[key]
+        if not entries:
+            continue
+        i = draw(st.integers(0, len(entries) - 1))
+        if not isinstance(entries[i], dict):
+            continue
+        field = draw(st.sampled_from(_NODE_KEYS if key == "nodes" else _EDGE_KEYS))
+        kind = draw(st.sampled_from(["value", "missing", "extra", "entry"]))
+        entry = dict(entries[i])
+        if kind == "value":
+            entry[field] = draw(_NOT_INTS)
+        elif kind == "missing":
+            entry.pop(field, None)
+        elif kind == "extra":
+            entry["name"] = 0
+        else:
+            entry = draw(st.sampled_from([[1, 2], 3, "node", None]))
+        entries[i] = entry
+    top = draw(st.sampled_from(["keep"] * 8 + ["no-edges", "nodes-dict", "empty-nodes", "list"]))
+    if top == "no-edges":
+        del data["edges"]
+    elif top == "nodes-dict":
+        data["nodes"] = {"1": 0}
+    elif top == "empty-nodes":
+        data["nodes"] = []
+    elif top == "list":
+        data = [data]
+    return data
+
+
+_EARLY_TYPE_THEN_SHAPE = {
+    "nodes": [{"id": 1, "workload_cycles": True}, {"id": 2}, {"id": 3, "workload_cycles": 0}],
+    "edges": [],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_dicts())
+@example(data=_EARLY_TYPE_THEN_SHAPE)
+@example(data={"nodes": _nodes(0, 1, 0), "edges": [
+    {"from": 1, "to": 2, "bits": 1.5}, {"from": 2, "to": 3}]})
+@example(data={"nodes": _nodes(0, 1, 1, 0), "edges": [
+    {"from": 1, "to": 2, "bits": 1}, {"from": 2, "to": 3, "bits": 1},
+    {"from": 3, "to": 2, "bits": 1}, {"from": 3, "to": 4, "bits": 1}]})
+def test_loader_matches_a_per_entry_reference(data):
+    try:
+        modules, edges, parents, children, order, violations = _reference_load(data)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as info:
+            graph_module.graph_from_dict(data)
+        assert str(info.value) == str(exc)
+        return
+    graph = graph_module.graph_from_dict(data)
+    assert graph.modules == modules
+    assert graph.edges == edges
+    assert graph.parents == parents
+    assert graph.children == children
+    if isinstance(order, str):
+        with pytest.raises(GraphError, match=re.escape(order)):
+            topological_order(graph)
+    else:
+        assert topological_order(graph) == order
+    assert validate_graph(graph) == violations
+
+
+def test_a_type_error_is_named_before_a_later_shape_error():
+    with pytest.raises(SchemaError) as info:
+        graph_module.graph_from_dict(_EARLY_TYPE_THEN_SHAPE)
+    assert str(info.value) == "node fields must be integers: {'id': 1, 'workload_cycles': True}"
