@@ -25,12 +25,12 @@ only the margins and dual weights of v's edges, v's psi terms, and the
 windows, transfer energy and slot offsets of v's neighbours.  The state
 keeps all of these from round to round and each round recomputes just
 those rows, by the same functions that compute every row of a fresh
-state; one incidence index, built by one sort, finds v's edges and its
-neighbours' rows.  psi and the dual normalisation are exact running sums
-(`ExactSum`, integers in units of 2**-1074), so they read out exactly what
-`math.fsum` of all the terms gives.  Only the dual-weighted pricing sums,
-which the normalisation changes everywhere, and the slot choice are redone
-in full every round.
+state; one incidence index, laid out from the graph's CSR lists, finds v's
+edges and its neighbours' rows.  psi and the dual normalisation are exact
+running sums (`ExactSum`, integers in units of 2**-1074), so they read out
+exactly what `math.fsum` of all the terms gives.  Only the dual-weighted
+pricing sums, which the normalisation changes everywhere, and the slot
+choice are redone in full every round.
 
 Dual prices are tightness weights: each dependency edge is priced
 1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
@@ -177,10 +177,10 @@ class SolverState:
     so one lookup replaces a select.
 
     The incidence index holds one row per edge end: each node's parent
-    edges, then its child edges, each group by the id at the other end.
-    That is `graph.parents` / `graph.children` order, and `np.bincount`
-    adds in input order, so each coefficient is summed exactly as a scalar
-    loop over that node would.  `ptr[v]:ptr[v + 1]` are the rows of node v.
+    CSR entries, then its child CSR entries, in the graph's order (each
+    group by the id at the other end).  `np.bincount` adds in input order,
+    so each coefficient is summed exactly as a scalar loop over the node's
+    CSR lists would.  `ptr[v]:ptr[v + 1]` are the rows of node v.
 
     The round arrays - edge margins and dual weights, the psi terms, and
     each node's window, transfer energy and slot offsets - are kept from one
@@ -237,15 +237,18 @@ class SolverState:
         )
         z_up, z_down = self.transfer_slots[0, 1], self.transfer_slots[1, 0]
 
-        # Entry e of the ends is edge e as a parent row of its dst, entry
-        # n_edges + e the same edge as a child row of its src.
-        ends = np.concatenate([self.dst, self.src])
-        others = np.concatenate([self.src, self.dst])
-        order = np.lexsort((others, np.arange(2 * n_edges) >= n_edges, ends))
-        self.inc_node = inc_node = ends[order]
-        self.inc_other = other = others[order]
-        self.inc_parent = up = order < n_edges
-        self.inc_edge = inc_edge = np.where(up, order, order - n_edges)
+        # The incidence rows are the graph's CSR entries, interleaved by
+        # node: graph row r's parent entry j lands at j + cp[r] and its child
+        # entry j at j + pp[r + 1], so each node's parents come first.
+        pp, cp = np.array(graph.parent_ptr, dtype=np.int64), np.array(graph.child_ptr, dtype=np.int64)
+        at = np.concatenate([np.arange(pp[-1]) + np.repeat(cp[:-1], np.diff(pp)),
+                             np.arange(cp[-1]) + np.repeat(pp[1:], np.diff(cp))])
+        order = np.empty_like(at)
+        order[at] = np.arange(len(at))
+        self.inc_parent = up = order < pp[-1]
+        self.inc_edge = inc_edge = np.array(graph.parent_edge + graph.child_edge, dtype=np.int64)[order]
+        self.inc_node = inc_node = np.where(up, self.dst[inc_edge], self.src[inc_edge])
+        self.inc_other = other = np.where(up, self.src[inc_edge], self.dst[inc_edge])
         self.ptr = np.searchsorted(inc_node, np.arange(size + 1))
         self.all_rows = np.arange(len(order))
         self.par_rows, self.chi_rows = np.flatnonzero(up), np.flatnonzero(~up)

@@ -65,9 +65,9 @@ class TaskGraph:
     that names no node has no row.
 
     A graph loaded by `graph_from_dict` is built from its columns; its
-    `modules` and `edges` objects are made from them on first use.
-    `parents` and `children` map each node id to the ids at the other end
-    of its edges, ascending.
+    `modules` and `edges` objects are made from them on first use.  The CSR
+    lists are the graph's one neighbour index: every layer reads a node's
+    parents and children from them.
     """
 
     def __init__(self, modules: list[TaskModule], edges: list[DataEdge]):
@@ -100,32 +100,9 @@ class TaskGraph:
     def edges(self) -> list[DataEdge]:
         return list(map(DataEdge, self.edge_src, self.edge_dst, self.edge_bits))
 
-    @functools.cached_property
-    def parents(self) -> dict[int, list[int]]:
-        return _by_node(self, self.parent_ptr, self.parent_id)
-
-    @functools.cached_property
-    def children(self) -> dict[int, list[int]]:
-        return _by_node(self, self.child_ptr, self.child_id)
-
     @property
     def n_nodes(self) -> int:
         return len(self.node_ids)
-
-    def workload(self, node: int) -> int:
-        return self._workloads[node]
-
-    @functools.cached_property
-    def _workloads(self) -> dict[int, int]:
-        return dict(zip(self.node_ids, self.node_workloads))
-
-    @functools.cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        """Position in `edges` of each (src, dst) pair."""
-        return dict(zip(zip(self.edge_src, self.edge_dst), itertools.count()))
-
-    def bits(self, src: int, dst: int) -> int:
-        return self.edge_bits[self.edge_index[(src, dst)]]
 
     def parent_slice(self, node: int) -> slice:
         """`node`'s part of `parent_edge` and `parent_id`."""
@@ -195,11 +172,6 @@ def _csr(row: dict[int, int], ends: list[int], others: list[int]) -> tuple[list[
     counts = collections.Counter(end_row)
     ptr = [0, *itertools.accumulate(map(counts.__getitem__, range(len(row))))]
     return ptr, order, list(map(others.__getitem__, order))
-
-
-def _by_node(graph: TaskGraph, ptr: list[int], other: list[int]) -> dict[int, list[int]]:
-    row = graph.row
-    return {v: other[ptr[row[v]]:ptr[row[v] + 1]] for v in dict.fromkeys(graph.node_ids)}
 
 
 def validate_graph(graph: TaskGraph) -> list[str]:

@@ -125,7 +125,7 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
         return SolveResult(decision, report, report.psi, [], EXIT_MINCUT, True, params.epsilon)
     floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
     path = topological_order(graph)
-    if graph.edge_index.keys() == set(zip(path, path[1:])):
+    if set(zip(graph.edge_src, graph.edge_dst)) == set(zip(path, path[1:])):
         inner = path[1:-1]
         windows = [()] + [inner[i:j] for i in range(len(inner)) for j in range(i + 1, len(inner) + 1)]
         locations = (local | dict.fromkeys(w, SERVER) for w in windows)

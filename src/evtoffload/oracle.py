@@ -53,13 +53,17 @@ def earliest_completion(
     Feasible when every node (hence the final one) finishes by the deadline.
     """
     slots = slot_table(graph, params)
-    transfer, parents = params.transfer_slots, graph.parents
+    places = set(location.values())  # one transfer rule lookup per pair of them
+    transfer = {(a, b): params.transfer_slots(a, b) for a in places for b in places}
+    row, ptr, parent_id = graph.row, graph.parent_ptr, graph.parent_id
     ec: dict[int, int] = {}
     for node in topological_order(graph):
-        where = location[node]
+        where, r = location[node], row[node]
         ready = 0
-        for parent in parents[node]:
-            ready = max(ready, ec[parent] + transfer(location[parent], where))
+        for parent in parent_id[ptr[r]:ptr[r + 1]]:
+            arrival = ec[parent] + transfer[location[parent], where]
+            if arrival > ready:  # a compare, not a max() call per edge
+                ready = arrival
         ec[node] = ready + slots.at(node, where)
     feasible = max(ec.values()) <= params.deadline_slots
     return EcSchedule(slots=ec, feasible=feasible)

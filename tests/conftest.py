@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,6 +30,30 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         if detail:
             line += f"  [{detail}]"
         terminalreporter.write_line(line)
+
+
+class GraphViews(NamedTuple):
+    parents: dict[int, list[int]]
+    children: dict[int, list[int]]
+    bits: dict[tuple[int, int], int]
+    workload: dict[int, int]
+
+
+def graph_views(graph: TaskGraph) -> GraphViews:
+    """Reference views of `graph`, built from `graph.edges` and
+    `graph.modules` without its CSR lists: the ids at the other end of each
+    node's parent and child edges (ascending), the bits of each (src, dst)
+    pair in edge order, and each node's workload."""
+    parents: dict[int, list[int]] = {m.id: [] for m in graph.modules}
+    children: dict[int, list[int]] = {m.id: [] for m in graph.modules}
+    # In (src, dst) order, so that both lists of every node come out sorted.
+    for src, dst in sorted((e.src, e.dst) for e in graph.edges):
+        if src in children:
+            children[src].append(dst)
+        if dst in parents:
+            parents[dst].append(src)
+    bits = {(e.src, e.dst): e.bits for e in graph.edges}
+    return GraphViews(parents, children, bits, {m.id: m.workload_cycles for m in graph.modules})
 
 
 def chain_graph(workloads: list[int], bits: list[int]) -> TaskGraph:

@@ -26,7 +26,7 @@ from evtoffload.graph import DataEdge, TaskGraph, TaskModule, load_graph
 from evtoffload.oracle import brute_force_optimum, earliest_completion
 from evtoffload.simulate import LayeredDagSpec, gen_layered_dag
 
-from conftest import INSTANCE_DIR, chain_graph, fan_graph, random_small_instance, toy_params
+from conftest import INSTANCE_DIR, chain_graph, fan_graph, graph_views, random_small_instance, toy_params
 
 
 def _hand_state(graph, params, schedule, duals, server=()):
@@ -117,7 +117,7 @@ def test_solve_rmp_base_state():
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0)
     state = initial_rmp(graph, params)
     psi_u, prices, schedule = solve_rmp(state)
-    duals = dict(zip(graph.edge_index, prices.tolist()))
+    duals = dict(zip(graph_views(graph).bits, prices.tolist()))
     assert psi_u == worst_case_expected_energy(graph, state.decision(), params).psi
     assert set(duals) == {(1, 2), (2, 3)}
     assert all(np.isfinite(v) and v >= 0 for v in duals.values())
@@ -294,20 +294,21 @@ def _enumerate_bip(node, state, graph, params):
     """Literal slot enumeration with explicit constraint checks."""
     best = None
     location = state.decision().location
+    views = graph_views(graph)
     slots = {
-        n: exec_slots(graph.workload(n), params.f_c_hz, params.delta_s)
+        n: exec_slots(views.workload[n], params.f_c_hz, params.delta_s)
         if location[n] == CLIENT
-        else exec_slots(graph.workload(n), params.f_s_hz, params.delta_s)
+        else exec_slots(views.workload[n], params.f_s_hz, params.delta_s)
         for n in graph.node_ids
     }
-    exec_server = exec_slots(graph.workload(node), params.f_s_hz, params.delta_s)
+    exec_server = exec_slots(views.workload[node], params.f_s_hz, params.delta_s)
     for t in range(1, params.deadline_slots + 1):
         ok = True
-        for m in graph.parents[node]:
+        for m in views.parents[node]:
             need = params.z_up_slots if location[m] == CLIENT else 0
             if t - state.schedule[m] - exec_server < need:
                 ok = False
-        for k in graph.children[node]:
+        for k in views.children[node]:
             need = params.z_down_slots if location[k] == CLIENT else 0
             if state.schedule[k] - t - slots[k] < need:
                 ok = False
@@ -387,12 +388,14 @@ def _walked_delta(node, state):
     """The psi change of moving `node`, by a walk over its parents and children."""
     graph, table = state.graph, slot_table(state.graph, state.params)
     location = state.decision().location
+    views = graph_views(graph)
+    edge_ids = {pair: i for i, pair in enumerate(views.bits)}
     change = -table.local[node]
-    for parent in graph.parents[node]:
-        edge = graph.edge_index[(parent, node)]
+    for parent in views.parents[node]:
+        edge = edge_ids[(parent, node)]
         change += table.up[edge] if location[parent] == CLIENT else -table.down[edge]
-    for child in graph.children[node]:
-        edge = graph.edge_index[(node, child)]
+    for child in views.children[node]:
+        edge = edge_ids[(node, child)]
         change += table.down[edge] if location[child] == CLIENT else -table.up[edge]
     return change
 

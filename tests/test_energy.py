@@ -32,7 +32,7 @@ from evtoffload.simulate import (
     simulate_execution,
 )
 
-from conftest import chain_graph, random_small_instance, toy_params
+from conftest import chain_graph, graph_views, random_small_instance, toy_params
 
 
 # --- exec_slots -------------------------------------------------------------
@@ -312,6 +312,7 @@ def test_dependency_bound_matches_literal_slot_vector_form():
     graph = chain_graph([3, 6, 4, 2], [5, 5, 5])
     params = toy_params(f_c_hz=1.0, f_s_hz=2.0, deadline_slots=60)
     t_axis = np.arange(params.deadline_slots + 1)
+    workload = graph_views(graph).workload
     for _ in range(20):
         slots = {}
         t = 0
@@ -331,7 +332,7 @@ def test_dependency_bound_matches_literal_slot_vector_form():
         for e in graph.edges:
             f_dst = params.f_c_hz if location[e.dst] == CLIENT else params.f_s_hz
             literal = completion(e.dst) - completion(e.src) - exec_slots(
-                graph.workload(e.dst), f_dst, params.delta_s
+                workload[e.dst], f_dst, params.delta_s
             )
             if location[e.src] == CLIENT and location[e.dst] == SERVER:
                 required = params.z_up_slots
@@ -380,6 +381,7 @@ def _replay_violations(graph, decision, params):
     """Timeline-replay oracle: literal re-derivation of the violation set."""
     tags = set()
     slots = slot_table(graph, params)
+    parents = graph_views(graph).parents
     n_last = graph.n_nodes
     for pinned in (1, n_last):
         if decision.location[pinned] != CLIENT:
@@ -389,7 +391,7 @@ def _replay_violations(graph, decision, params):
     for node in graph.node_ids:
         if decision.slot[node] < 0 or decision.slot[node] > params.deadline_slots:
             tags.add(("slot-range", (node,)))
-        if not graph.parents[node]:
+        if not parents[node]:
             if decision.slot[node] < slots.at(node, decision.location[node]):
                 tags.add(("source-exec", (node,)))
     for e in graph.edges:

@@ -190,10 +190,10 @@ def test_exports_match_golden_digests():
 def test_exports_do_not_depend_on_edge_order():
     """Shuffling `graph.edges` leaves every export byte-identical.
 
-    The solvers sum each node's terms in `graph.parents` / `graph.children`
-    order, whatever order the edges are listed in.  The golden corpus lists
-    them in canonical order only, so this shuffles them, on the first 400
-    `colgen.solve` inputs and every `mincut.solve` input.
+    The solvers sum each node's terms in the order of the graph's CSR
+    parent and child lists, whatever order the edges are listed in.  The
+    golden corpus lists them in canonical order only, so this shuffles them,
+    on the first 400 `colgen.solve` inputs and every `mincut.solve` input.
     """
     rng = random.Random(20261018)
     cases = [(colgen.solve, *case) for case in itertools.islice(corpus(), 400)]

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evtoffload.colgen import SolverState
 from evtoffload.energy import check_constraints, slot_table, worst_case_expected_energy
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 
-from conftest import toy_params
+from conftest import graph_views, toy_params
 
 POSITIVE = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
 
@@ -49,10 +49,11 @@ def master_states(draw):
         if draw(st.booleans()):
             server[0] = server[-1] = False
         slot: dict[int, int] = {}
+        parents = graph_views(graph).parents
         for m in modules:
             on_server = server[m.id - 1]
             ready = 0
-            for u in graph.parents[m.id]:
+            for u in parents[m.id]:
                 crossing = server[u - 1] != on_server
                 transfer = math.ceil(z_up if on_server else z_down) if crossing else 0
                 ready = max(ready, slot[u] + transfer)
@@ -109,3 +110,36 @@ def test_array_master_matches_scalar_checker(state):
 def test_array_psi_matches_scalar_objective(state):
     expected = worst_case_expected_energy(state.graph, state.decision(), state.params).psi
     assert state.psi().hex() == expected.hex()
+
+
+@st.composite
+def relabelled_dags(draw):
+    """DAGs on ids 1..n whose edges follow a drawn topological order, so
+    not every edge points up the ids, with the edges listed in a drawn order."""
+    n = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(1, n + 1)))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+    modules = [TaskModule(i, draw(st.integers(1, 9))) for i in range(1, n + 1)]
+    edges = [DataEdge(u, v, draw(st.integers(0, 9))) for u, v in draw(st.permutations(pairs))]
+    return TaskGraph(modules, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(relabelled_dags())
+@example(graph=TaskGraph(
+    [TaskModule(i, 1) for i in range(1, 5)],
+    [DataEdge(1, 3, 1), DataEdge(3, 2, 2), DataEdge(2, 4, 3), DataEdge(1, 2, 4)],
+))
+def test_incidence_rows_are_the_graph_csr_lists(graph):
+    """Each node's incidence rows are its parent CSR entries, then its child
+    CSR entries, in the graph's order."""
+    state = SolverState(graph, toy_params())
+    assert state.ptr[-1] == 2 * len(graph.edges)
+    for v in graph.node_ids:
+        r, rows = graph.row[v], slice(state.ptr[v], state.ptr[v + 1])
+        par = slice(graph.parent_ptr[r], graph.parent_ptr[r + 1])
+        chi = slice(graph.child_ptr[r], graph.child_ptr[r + 1])
+        parent_edges, child_edges = graph.parent_edge[par], graph.child_edge[chi]
+        assert state.inc_edge[rows].tolist() == parent_edges + child_edges
+        assert state.inc_other[rows].tolist() == graph.parent_id[par] + graph.child_id[chi]
+        assert state.inc_parent[rows].tolist() == [True] * len(parent_edges) + [False] * len(child_edges)

@@ -20,7 +20,7 @@ from evtoffload.energy import (
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 from evtoffload.oracle import brute_force_optimum, earliest_completion
 
-from conftest import chain_graph, fan_graph, toy_params
+from conftest import chain_graph, fan_graph, graph_views, toy_params
 
 
 def _random_chain(rng, n=None):
@@ -149,10 +149,11 @@ def test_fan_cut_is_the_threshold_rule():
         params = _loose_params(rng, graph)
         n = graph.n_nodes
         coef = params.kappa * params.f_c_hz * params.f_c_hz
+        views = graph_views(graph)
         threshold = {
             v for v in graph.interior_ids()
-            if Fraction(coef * graph.workload(v))
-            > Fraction(graph.bits(1, v) * params.theta_up) + Fraction(graph.bits(v, n) * params.theta_down)
+            if Fraction(coef * views.workload[v])
+            > Fraction(views.bits[(1, v)] * params.theta_up) + Fraction(views.bits[(v, n)] * params.theta_down)
         }
         assert set(mincut.min_cut(graph, params)[0]) == threshold
 

@@ -19,7 +19,7 @@ from evtoffload.colgen import SolverState, _price_all
 from evtoffload.energy import CLIENT, slot_table
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 
-from conftest import toy_params
+from conftest import graph_views, toy_params
 
 # Dyadic values make exactly equal parent and child sums common; the decimal
 # ones give sums that differ from each other only by rounding.
@@ -35,15 +35,16 @@ def reference(node, state):
     slots = slot_table(graph, params)
     decision = state.decision()
     schedule, location = decision.slot, decision.location
-    duals = dict(zip(graph.edge_index, state.duals.tolist()))
+    views = graph_views(graph)
+    duals = dict(zip(views.bits, state.duals.tolist()))
     exec_server = slots.server[node]
     t_min = 0
-    for parent in graph.parents[node]:
+    for parent in views.parents[node]:
         transfer = params.z_up_slots if location[parent] == CLIENT else 0
         t_min = max(t_min, schedule[parent] + transfer)
     t_min = max(t_min + exec_server, 1)
     t_max = params.deadline_slots
-    for child in graph.children[node]:
+    for child in views.children[node]:
         loc = location[child]
         transfer = params.z_down_slots if loc == CLIENT else 0
         t_max = min(t_max, schedule[child] - transfer - slots.at(child, loc))
@@ -51,16 +52,16 @@ def reference(node, state):
         return None
 
     transfer = par_sum = par_off = chi_sum = chi_off = 0.0
-    for parent in graph.parents[node]:
+    for parent in views.parents[node]:
         if location[parent] == CLIENT:
-            transfer += graph.bits(parent, node) * params.theta_up
+            transfer += views.bits[(parent, node)] * params.theta_up
         pi = duals.get((parent, node), 0.0)
         par_sum += pi
         par_off += pi * (schedule[parent] + exec_server)
-    for child in graph.children[node]:
+    for child in views.children[node]:
         loc = location[child]
         if loc == CLIENT:
-            transfer += graph.bits(node, child) * params.theta_down
+            transfer += views.bits[(node, child)] * params.theta_down
         pi = duals.get((node, child), 0.0)
         chi_sum += pi
         chi_off += pi * (schedule[child] - slots.at(child, loc))

@@ -36,7 +36,7 @@ from evtoffload.gev import TRACE_HEADER, GevParams, _read_trace_rows, gev_sample
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule, graph_to_dict, topological_order
 from evtoffload.simulate import DistSpec, TraceModel, monte_carlo, simulate_execution
 
-from conftest import chain_graph, toy_params
+from conftest import chain_graph, graph_views, toy_params
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "replay_fixed_reports.json"
 
@@ -61,7 +61,8 @@ def _reference_draw(spec: DistSpec, rng: np.random.Generator, size: int) -> list
 def reference_monte_carlo(graph, decision, model, params, replications) -> dict:
     """One replication at a time, scalar arithmetic, exact slot counts."""
     order = topological_order(graph)
-    visits = [(parent, node) for node in order for parent in graph.parents[node]]
+    views = graph_views(graph)
+    visits = [(parent, node) for node in order for parent in views.parents[node]]
     cross = {"up": [], "down": []}
     for parent, node in visits:
         if decision.is_client(parent) != decision.is_client(node):
@@ -93,11 +94,11 @@ def reference_monte_carlo(graph, decision, model, params, replications) -> dict:
         completion: dict[int, int] = {}
         for node in order:
             ready = 0
-            for parent in graph.parents[node]:
+            for parent in views.parents[node]:
                 transfer_slots = 0
                 if (parent, node) in draws:
                     direction, queue, rate, power = draws[(parent, node)]
-                    bits = graph.bits(parent, node)
+                    bits = views.bits[(parent, node)]
                     queue = max(queue, 0.0)
                     rate = max(rate, model.rate_floor_bps)
                     power = max(power, 0.0)

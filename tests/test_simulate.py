@@ -17,7 +17,7 @@ from evtoffload.simulate import (
     simulate_execution,
 )
 
-from conftest import chain_graph, toy_params
+from conftest import chain_graph, graph_views, toy_params
 
 
 def _const(value):
@@ -247,12 +247,13 @@ def test_gen_validity_and_connectivity_sweep():
         n = int(rng.integers(2, 26))
         graph = gen_layered_dag(LayeredDagSpec(n_nodes=n, edge_prob=0.15), rng)
         assert validate_graph(graph) == []
+        views = graph_views(graph)
         # Reachability from node 1 and co-reachability of node N.
         fwd = {1}
         stack = [1]
         while stack:
             u = stack.pop()
-            for v in graph.children[u]:
+            for v in views.children[u]:
                 if v not in fwd:
                     fwd.add(v)
                     stack.append(v)
@@ -260,7 +261,7 @@ def test_gen_validity_and_connectivity_sweep():
         stack = [graph.n_nodes]
         while stack:
             u = stack.pop()
-            for v in graph.parents[u]:
+            for v in views.parents[u]:
                 if v not in bwd:
                     bwd.add(v)
                     stack.append(v)
