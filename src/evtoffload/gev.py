@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,10 @@ TRACE_HEADER = [
     "power_up_mw",
     "power_down_mw",
 ]
+
+# Suffixes by which numpy's path opener picks a decompressor (see
+# `_read_trace_rows`).
+_DECOMPRESSING_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 class DegenerateSampleError(ValueError):
@@ -391,14 +396,34 @@ def _read_trace_rows(path: str | Path) -> dict[str, np.ndarray]:
     Raises ValueError for a wrong header, a row with the wrong number of
     fields or a cell that is not a number.
     """
-    with open(path) as fh:
+    absolute = os.path.abspath(path)
+    with open(absolute) as fh:
         header = next(csv.reader([fh.readline()]), None)
         if header != TRACE_HEADER:
             raise ValueError(f"trace CSV header must be {','.join(TRACE_HEADER)}")
+        # Given a str path, np.loadtxt's C reader reads the file in large
+        # chunks; given a handle, it reads one Python line at a time.  Its
+        # path opener decompresses by suffix and fetches URL-like names, so
+        # only an absolute path (never URL-like) without such a suffix goes
+        # by name; both ways parse the same text.
+        if absolute.lower().endswith(_DECOMPRESSING_SUFFIXES):
+            source, skip = fh, 0
+        else:
+            source, skip = absolute, 1
+        # Seven numbers and their line end take at least 14 bytes, so a file
+        # holds more rows than this only after a shorter row, which numpy
+        # rejects.  Given the bound, numpy allocates the table once (only the
+        # pages it fills become resident) instead of growing it by copies
+        # whose freed space the heap keeps after the fit.
+        max_rows = os.fstat(fh.fileno()).st_size // 14 + 1
         with warnings.catch_warnings():
-            # A header-only file is an empty table, not a malformed one.
+            # A header-only file is an empty table, not a malformed one, and
+            # blank lines are skipped, which numpy notes once `max_rows` is set.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data", UserWarning)
+            table = np.loadtxt(
+                source, delimiter=",", ndmin=2, comments=None, skiprows=skip, max_rows=max_rows
+            )
     if table.size == 0:
         table = np.empty((0, len(TRACE_HEADER)))
     if table.shape[1] != len(TRACE_HEADER):

@@ -327,7 +327,9 @@ def write_json(path: str | Path, data) -> None:
 
     The bytes are those of `json.dumps(data, indent=2, sort_keys=True)`.  An
     indent sends `json` to its pure-Python encoder, so the layout is made
-    here and the values are encoded by the C encoder.  Keys must be strings.
+    here and the values are encoded by the C encoder: a list of flat dicts
+    (nonempty, with scalar values) in one call, a dict of them in one call
+    per member, anything else value by value.  Keys must be strings.
     """
     write_text(path, _indented(data, 0) + "\n")
 
@@ -344,7 +346,18 @@ def _indented(value, depth: int) -> str:
     pad = "\n" + "  " * depth
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = [json.dumps(key) + ": " + _indented(value[key], depth + 1) for key in sorted(value)]
+        if _are_flat_dicts(value.values()):
+            # One C call per member (each edge of a replay report's
+            # `edge_exceedance`): its item separator carries the key indent.
+            deeper = inner + "  "
+            items = [
+                json.dumps(key) + ": {" + deeper
+                + json.dumps(value[key], sort_keys=True, separators=("," + deeper, ": "))[1:-1]
+                + inner + "}"
+                for key in sorted(value)
+            ]
+        else:
+            items = [json.dumps(key) + ": " + _indented(value[key], depth + 1) for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
         if _are_flat_dicts(value):

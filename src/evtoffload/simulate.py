@@ -3,9 +3,14 @@
 Each cross-boundary transfer draws a (queue, rate, power) triple from the
 configured distributions; completion times and realized energy are then
 recomputed with those draws.  The client's local execution energy takes no
-draw: it is the `slot_table` term that psi sums.  Replications are computed
-together, one row of each array per replication, in chunks of at most
-`_CHUNK_ELEMENTS` elements per array; `simulate_execution` is the
+draw: it is the `slot_table` term that psi sums.  A replication's energy is
+the `math.fsum` of its execution and transfer terms; the execution terms are
+folded once per replay into exact partials, to which each replication adds
+its transfer terms, so the correctly rounded sum is the same.  Replications
+are computed together, one row of each array per replication, in chunks of
+at most `_CHUNK_ELEMENTS` elements per array (2**19: 200 replications are
+one chunk while the DAG has at most 2 621 nodes and 2 621 edges), one
+direction at a time and in place in the draws; `simulate_execution` is the
 one-replication case.
 
 Stream contract (reports are reproducible bit for bit):
@@ -34,7 +39,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import (
@@ -67,8 +72,8 @@ FAMILIES = tuple(_FAMILY_PARAMS)
 
 QUANTITIES = ("rate_up", "rate_down", "queue_up_bits", "queue_down_bits", "power_up", "power_down")
 
-# Largest number of elements of one per-chunk array (about 2 MB of float64).
-_CHUNK_ELEMENTS = 1 << 18
+# Largest number of elements of one per-chunk array (about 4 MB of float64).
+_CHUNK_ELEMENTS = 1 << 19
 
 
 def _refuse_unknown(what: str, data: dict, known) -> None:
@@ -190,7 +195,9 @@ class SimReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields as a shallow dict: its quantile and exceedance
+        dicts are the report's own, not copies."""
+        return dict(vars(self))
 
     def to_json(self, path: str | Path) -> None:
         write_json(path, self.to_dict())
@@ -242,42 +249,31 @@ class _Replay:
         self.sink = position[graph.n_nodes]
         self.edge_rows = {d: np.array(rows, dtype=np.intp) for d, rows in edge_rows.items()}
         self.bits = {d: np.array(b, dtype=float) for d, b in bits.items()}
-        self.exec_terms = [table.local[n] for n in graph.node_ids if decision.is_client(n)]
+        # The client's execution terms are the same in every replication.
+        self.exec_partials = _fsum_partials(
+            table.local[n] for n in graph.node_ids if decision.is_client(n)
+        )
         self.specs = {  # drawn in this order
             UP: (model.queue_up_bits, model.rate_up, model.power_up),
             DOWN: (model.queue_down_bits, model.rate_down, model.power_down),
         }
         # Elements per replication of the largest per-chunk arrays.
-        self.width = max(len(self.order), n_edges, len(self.exec_terms) + len(self.cross), 1)
+        self.width = max(len(self.order), n_edges, 1)
 
     def run(self, rngs: list[np.random.Generator]) -> _Chunk:
         """Replay once per generator; row i of every array belongs to rngs[i]."""
         rows = len(rngs)
-        raw = {d: np.empty((3, rows, len(self.bits[d]))) for d in (UP, DOWN)}
-        for i, rng in enumerate(rngs):
-            for direction in (UP, DOWN):
-                size = len(self.bits[direction])
-                if size:
-                    for q, spec in enumerate(self.specs[direction]):
-                        raw[direction][q, i] = spec.draw(rng, size)
-
-        n_exec = len(self.exec_terms)
-        terms = np.empty((rows, n_exec + len(self.cross)))
-        terms[:, :n_exec] = self.exec_terms
         edge_slots = np.zeros((self.n_edges, rows), dtype=np.int64)
-        seconds = {}
-        column = n_exec
+        # Every generator draws its uplink vectors before its downlink ones,
+        # so drawing one direction for all of them keeps each stream's order.
+        seconds, terms = {}, {}
         for direction in (UP, DOWN):
-            bits = self.bits[direction]
-            queue = np.maximum(raw[direction][0], 0.0)
-            rate = np.maximum(raw[direction][1], self.rate_floor)
-            power = np.maximum(raw[direction][2], 0.0)
-            with np.errstate(over="ignore"):  # an infinite time saturates at the cap
-                seconds[direction] = (queue + bits) / rate
-                terms[:, column : column + len(bits)] = power * bits / rate
-                transfer = np.minimum(np.ceil(seconds[direction] / self.delta_s), self.cap)
-            column += len(bits)
-            edge_slots[self.edge_rows[direction]] = transfer.T.astype(np.int64)
+            seconds[direction], terms[direction] = self._transfers(direction, rngs, edge_slots)
+        energy = [
+            math.fsum(self.exec_partials + up.tolist() + down.tolist())
+            for up, down in zip(terms[UP], terms[DOWN])
+        ]
+        del terms  # freed before `done` is allocated, which keeps the chunk's peak down
 
         done = np.empty((len(self.order), rows), dtype=np.int64)
         for j, (lo, hi, run_slots) in enumerate(self.steps):
@@ -286,11 +282,52 @@ class _Replay:
             else:
                 ready = (done[self.parent_pos[lo:hi]] + edge_slots[lo:hi]).max(axis=0)
                 np.minimum(ready + run_slots, self.cap, out=done[j])
-        return _Chunk(
-            energy=[math.fsum(row) for row in terms.tolist()],
-            done=done,
-            seconds=seconds,
-        )
+        return _Chunk(energy=energy, done=done, seconds=seconds)
+
+    def _transfers(self, direction: str, rngs: list[np.random.Generator], edge_slots: np.ndarray):
+        """Seconds and energy of each transfer of `direction`, one row per
+        generator, computed in place in the draws; the slot counts go to
+        `edge_slots`."""
+        bits = self.bits[direction]
+        queue, rate, power = draws = [np.empty((len(rngs), len(bits))) for _ in range(3)]
+        if len(bits):
+            for i, rng in enumerate(rngs):
+                for out, spec in zip(draws, self.specs[direction]):
+                    out[i] = spec.draw(rng, len(bits))
+        np.maximum(queue, 0.0, out=queue)
+        np.maximum(rate, self.rate_floor, out=rate)
+        np.maximum(power, 0.0, out=power)
+        with np.errstate(over="ignore"):  # an infinite time saturates at the cap
+            queue += bits
+            queue /= rate
+            power *= bits
+            power /= rate
+            slots = np.divide(queue, self.delta_s, out=rate)
+        np.ceil(slots, out=slots)
+        np.minimum(slots, self.cap, out=slots)
+        edge_slots[self.edge_rows[direction]] = slots.T
+        return queue, power
+
+
+def _fsum_partials(values) -> list[float]:
+    """Nonoverlapping floats whose exact sum is the exact sum of `values`,
+    which must stay in float range: the partials `math.fsum` keeps
+    (Shewchuk's algorithm).  So `math.fsum(partials + more)` is
+    `math.fsum([*values, *more])`, correctly rounded, bit for bit."""
+    partials: list[float] = []
+    for x in values:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+    return partials
 
 
 def _check_decision(graph: TaskGraph, decision: OffloadDecision) -> None:

@@ -249,25 +249,33 @@ def test_validate_graph_returns_a_fresh_list_each_call():
 
 
 _SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
-# Lists of dicts of scalars, the layout `write_json` encodes in one call; some
-# hold an empty dict, which it must not.
-_FLAT_DICT_LISTS = st.lists(st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3), min_size=1)
+_FLAT_DICTS = st.dictionaries(st.text(max_size=4), _SCALARS, max_size=3)
+# Lists of dicts of scalars and dicts of them, the layouts `write_json`
+# encodes in one call per list or member; some hold an empty dict, which it
+# must not.
+_FLAT_DICT_LISTS = st.lists(_FLAT_DICTS, min_size=1)
+_FLAT_DICT_DICTS = st.dictionaries(st.text(max_size=4), _FLAT_DICTS, min_size=1, max_size=4)
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     st.recursive(
-        _SCALARS | _FLAT_DICT_LISTS,
+        _SCALARS | _FLAT_DICT_LISTS | _FLAT_DICT_DICTS,
         lambda inner: st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
         | st.dictionaries(st.text(max_size=4), inner, max_size=4)
-        | _FLAT_DICT_LISTS,
+        | _FLAT_DICT_LISTS
+        | _FLAT_DICT_DICTS,
         max_leaves=20,
     )
 )
 @example(data=[{"a": 1}, {}])
 @example(data=[{"a": (1, 2)}])
 @example(data={"nodes": [{"id": 1, "location": "client", "slot": 2}], "psi": 0.5})
+@example(data={"1->2": {"rate": 0.5}, "2->3": {}})
+@example(data={"1->2": {"direction": '},\n    "x": {\\n', "rate": 0.5}, "2->3": {"a": "\\n},"}})
+@example(data={"1->2": {"rate": 0.5}, "2->3": {"a": {"b": 1}}, "3->4": {"c": [1, {"d": 2}]}})
+@example(data={"edge_exceedance": {"1->2": {"events": 3, "rate": 1 / 3}}, "seed": 0})
 def test_write_json_matches_the_indenting_encoder(tmp_path, data):
     path = tmp_path / "data.json"
     write_json(path, data)

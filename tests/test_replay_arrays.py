@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -231,21 +232,70 @@ def _mixed_case():
 def test_chunking_never_changes_the_report(monkeypatch, rows):
     graph, decision, model, params = _mixed_case()
     replications = 41
+    chunks = []
+    run = simulate._Replay.run
+    monkeypatch.setattr(simulate._Replay, "run", lambda self, rngs: chunks.append(len(rngs)) or run(self, rngs))
     baseline = monte_carlo(graph, decision, model, params, replications).to_dict()
+    assert chunks == [replications]
     width = simulate._Replay(graph, decision, model, params).width
     monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", rows * width)
+    chunks.clear()
     assert monte_carlo(graph, decision, model, params, replications).to_dict() == baseline
+    assert max(chunks) == rows and sum(chunks) == replications
     monkeypatch.setattr(simulate, "_CHUNK_ELEMENTS", 1)
+    chunks.clear()
     assert monte_carlo(graph, decision, model, params, replications).to_dict() == baseline
+    assert chunks == [1] * replications
 
 
-def test_single_run_is_replication_zero_of_the_reference():
-    graph, decision, model, params = _mixed_case()
-    run = simulate_execution(graph, decision, model, params, np.random.default_rng([23, 0]))
-    report = reference_monte_carlo(graph, decision, model, params, 1)
-    assert run.energy == report["mean_energy"]
-    assert run.deadline_met == (report["deadline_violation_rate"] == 0.0)
-    assert [(src, dst) for src, dst, *_ in run.transfers] == [(1, 2), (2, 3), (3, 4), (5, 6)]
+# --- the energy sum ---------------------------------------------------------------
+
+def _near_cancelling(values: list[float]) -> list[float]:
+    """Each value followed by its negation moved one step toward zero."""
+    return [term for value in values for term in (value, -math.nextafter(value, 0.0))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(1e-300, 1e300) | st.just(0.0), max_size=40),
+    st.lists(st.floats(-1e300, 1e300, **FINITE), max_size=10).map(_near_cancelling)
+    | st.lists(st.floats(-1e300, 1e300, **FINITE), max_size=20),
+)
+def test_partials_sum_to_the_fsum_of_all_terms(execution, transfer):
+    got = math.fsum(simulate._fsum_partials(execution) + transfer)
+    assert got.hex() == math.fsum(execution + transfer).hex()
+
+
+@pytest.mark.parametrize("kappa, workloads, bits, power_up, power_down", [
+    # Client workloads over 308 decades: execution terms from 1e-300 to about
+    # 1e8, and transfer terms on the same scales.
+    pytest.param(
+        1e-300, [1, 3, 10**150, 7, 10**300, 5, 10**308], [1, 10**20, 3, 10**15, 5, 1], 1e-290, 0.1,
+        id="decades",
+    ),
+    # Execution terms 1 and 2**-60 and one transfer term 3 * 2**-53 / 3 =
+    # 2**-53: their exact sum rounds up to 1 + 2**-52, but 1 + 2**-53 alone
+    # ties down to 1.
+    pytest.param(
+        2.0**-60, [2**60, 0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], 3 * 2.0**-53, 0.0, id="rounding"
+    ),
+])
+def test_replay_energy_is_the_fsum_of_every_term(kappa, workloads, bits, power_up, power_down):
+    graph = chain_graph(workloads, bits)
+    location = {n: CLIENT if n % 2 else SERVER for n in range(1, 8)}
+    decision = OffloadDecision(location, {n: 0 for n in location})
+    model = TraceModel(
+        rate_up=_const(3.0), rate_down=_const(7.0), queue_up_bits=_const(0.0),
+        queue_down_bits=_const(0.0), power_up=_const(power_up), power_down=_const(power_down),
+        rate_floor_bps=1.0,
+    )
+    params = toy_params(kappa=kappa, deadline_slots=10**6)
+    # Edge n runs from node n to n + 1: up from an odd node, down from an even one.
+    terms = [kappa * w for n, w in enumerate(workloads, 1) if location[n] == CLIENT]
+    terms += [power_up * b / 3.0 if n % 2 else power_down * b / 7.0 for n, b in enumerate(bits, 1)]
+    run = simulate_execution(graph, decision, model, params, np.random.default_rng(0))
+    assert run.energy.hex() == math.fsum(terms).hex()
+    assert monte_carlo(graph, decision, model, params, 1).mean_energy == run.energy
 
 
 # --- a replay that consumes no random numbers -----------------------------------
@@ -383,6 +433,9 @@ ROW_B = "1,0.1,3e2,1.5e5,9.25e5,1199.999999,301.000001"
     f"{HEADER_LINE}\r\n{ROW_A}\r\n{ROW_B}\r\n",
     f"{HEADER_LINE}\n",
     "\n".join([HEADER_LINE] + [ROW_A, ROW_B] * 50) + "\n",
+    # Rows of the least width the loader's row bound allows for, without a
+    # final line end: every one is read.
+    pytest.param("\n".join([HEADER_LINE] + ["1,2,3,4,5,6,7"] * 3000), id="least-width-rows"),
 ])
 def test_trace_loader_matches_csv_parse(tmp_path, body):
     path = tmp_path / "trace.csv"
@@ -404,6 +457,9 @@ def test_trace_loader_matches_csv_parse(tmp_path, body):
     f"{HEADER_LINE}\n{ROW_A}\n0,1,2,3,4,5,x\n",
     f"{HEADER_LINE}\n0,1,2,,4,5,6\n",
     f"{HEADER_LINE}\n#{ROW_A}\n",
+    # Short rows beyond the loader's row bound, after rows of the least width.
+    pytest.param(f"{HEADER_LINE}\n" + "1,2,3,4,5,6,7\n" * 100 + "1,2\n" * 5000, id="short-rows"),
+    pytest.param(f"{HEADER_LINE}\n" + "1,2,3,4,5,6,7\n" * 100 + "1,,,,,,\n" * 5000, id="empty-cells"),
 ])
 def test_trace_loader_rejects_malformed_csv(tmp_path, body):
     path = tmp_path / "trace.csv"
@@ -412,6 +468,69 @@ def test_trace_loader_rejects_malformed_csv(tmp_path, body):
         _csv_reference(path)
     with pytest.raises(ValueError):
         _read_trace_rows(path)
+
+
+PLAIN_BODY = "\n".join([HEADER_LINE] + [ROW_A, ROW_B] * 50) + "\n"
+
+
+@pytest.mark.parametrize("name", [
+    "trace.csv.gz", "trace.csv.bz2", "trace.csv.xz", "trace.csv.lzma", "trace.GZ", "trace.Bz2",
+])
+def test_trace_loader_reads_a_plain_trace_whatever_its_suffix(tmp_path, name):
+    # numpy's path opener picks a decompressor by suffix; the loader reads
+    # the bytes on disk.
+    (tmp_path / "trace.csv").write_text(PLAIN_BODY)
+    (tmp_path / name).write_text(PLAIN_BODY)
+    got, want = _read_trace_rows(tmp_path / name), _read_trace_rows(tmp_path / "trace.csv")
+    for column in TRACE_HEADER:
+        assert got[column].tobytes() == want[column].tobytes()
+
+
+def test_trace_loader_never_fetches_a_url_like_name(tmp_path, monkeypatch):
+    # "http://host/trace.csv" is also a relative path: http: / host / trace.csv.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace loader opened a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    (tmp_path / "http:" / "host").mkdir(parents=True)
+    (tmp_path / "http:" / "host" / "trace.csv").write_text(PLAIN_BODY)
+    (tmp_path / "trace.csv").write_text(PLAIN_BODY)
+    monkeypatch.chdir(tmp_path)
+    got, want = _read_trace_rows("http://host/trace.csv"), _read_trace_rows("trace.csv")
+    for column in TRACE_HEADER:
+        assert got[column].tobytes() == want[column].tobytes()
+
+
+def test_trace_loader_matches_csv_parse_on_a_multi_megabyte_crlf_trace(tmp_path):
+    rng = np.random.default_rng(5)
+    table = rng.lognormal(5.0, 4.0, size=(40_000, len(TRACE_HEADER) - 1))
+    lines = [HEADER_LINE]
+    for k, row in enumerate(table.tolist()):
+        cells = [repr(row[0]), f"{row[1]:.6f}", f"{row[2]:.17g}", f"{row[3]:e}", repr(row[4]), f"{row[5]:.3f}"]
+        lines.append(",".join([str(k)] + cells))
+        if k % 997 == 0:
+            lines += ["", ""] if k % 2 else [""]
+    path = tmp_path / "trace.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    assert path.stat().st_size > 2 * 2**20
+    got, want = _read_trace_rows(path), _csv_reference(path)
+    assert len(want["t_ms"]) == len(table)
+    for column in TRACE_HEADER:
+        assert got[column].tobytes() == want[column].tobytes()
+
+
+@pytest.mark.parametrize("bad", ["0,1,2,3,4,5,x", "0,1,2", "0,1,2,3,4,5,6,7", "0,1,2,,4,5,6"])
+def test_a_malformed_row_far_into_the_trace_is_refused(tmp_path, bad):
+    good = [ROW_A, ROW_B] * 10_000  # about 0.9 MB before the bad row
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([HEADER_LINE, *good, bad, *good[:100]]) + "\n")
+    with pytest.raises(ValueError):
+        _csv_reference(path)
+    with pytest.raises(ValueError):
+        _read_trace_rows(path)
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--traces", str(path), "--k", "1", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_fit_rejects_malformed_csv_with_exit_2(tmp_path):
