@@ -248,7 +248,16 @@ def test_chunking_never_changes_the_report(monkeypatch, rows):
     assert chunks == [1] * replications
 
 
-# --- the energy sum ---------------------------------------------------------------
+def test_single_run_is_replication_zero_of_the_reference():
+    graph, decision, model, params = _mixed_case()
+    run = simulate_execution(graph, decision, model, params, np.random.default_rng([23, 0]))
+    report = reference_monte_carlo(graph, decision, model, params, 1)
+    assert run.energy == report["mean_energy"]
+    assert run.deadline_met == (report["deadline_violation_rate"] == 0.0)
+    assert [(src, dst) for src, dst, *_ in run.transfers] == [(1, 2), (2, 3), (3, 4), (5, 6)]
+
+
+# --- the energy sum---------------------------------------------------------------
 
 def _near_cancelling(values: list[float]) -> list[float]:
     """Each value followed by its negation moved one step toward zero."""
