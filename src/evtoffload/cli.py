@@ -10,12 +10,7 @@ import sys
 from pathlib import Path
 
 from . import colgen, mincut
-from .energy import (
-    InfeasibleError,
-    OffloadDecision,
-    SystemParams,
-    TraceExhaustedError,
-)
+from .energy import InfeasibleError, OffloadDecision, SystemParams, TraceExhaustedError
 from .gev import (
     FitConvergenceError,
     block_maxima,
@@ -75,9 +70,7 @@ def cmd_fit(args) -> int:
     for key, name in (("z_up_s", "v_up"), ("z_down_s", "v_down"),
                       ("theta_up", "j"), ("theta_down", "h")):
         if not math.isfinite(out[key]):
-            raise ValueError(
-                f"fitted {key} is {out[key]}: the GEV fit of {name} has xi = {fits[name].xi}"
-            )
+            raise ValueError(f"fitted {key} is {out[key]}: the GEV fit of {name} has xi = {fits[name].xi}")
     out["eps_m_up"] = args.eps_m_up
     out["eps_m_down"] = args.eps_m_down
     out["block_size_k"] = args.k

@@ -6,14 +6,9 @@ worst-case transfer budget and its mean the worst-case expected energy
 coefficient.  Shape convention: xi > 0 heavy tail (Frechet), xi = 0 Gumbel,
 xi < 0 bounded tail (Weibull).
 
-The maximum-likelihood fit is a damped Newton search on the likelihood's
-analytic gradient and Hessian (`fit_gev_mle`), so `scipy.optimize` is never
-imported.  scipy is still the source of `scipy.special.gamma`, whose last bits
-`math.gamma` does not match; it is imported inside its two users (`gev_mean`
-and `pwm_start`), not here, because it takes most of the package's import
-time and only `fit` needs it.  numpy is bound through `lazy.lazy_numpy` and
-nothing here uses it at import time (the series of `_log1p_ratios` is built
-on first use), so importing this module runs no numpy code.
+numpy is bound through `lazy.lazy_numpy` and nothing here uses it at import
+time (the series of `_log1p_ratios` is built on first use), so importing this
+module runs no numpy code.
 """
 from __future__ import annotations
 
@@ -138,15 +133,16 @@ def gev_quantile(params: GevParams, eps_m: float) -> float:
 
 
 def gev_mean(params: GevParams) -> float:
-    """E[Z]; +inf when xi >= 1 (the heavy-tail mean diverges)."""
-    from scipy.special import gamma as gamma_fn
-
+    """E[Z]; +inf when xi >= 1 (the heavy-tail mean diverges), -inf below float range."""
     mu, sigma, xi = params.mu, params.sigma, params.xi
     if xi >= 1.0:
         return math.inf
     if abs(xi) < XI_ZERO_TOL:
         return mu + sigma * EULER_GAMMA
-    return mu + sigma * (gamma_fn(1.0 - xi) - 1.0) / xi
+    try:
+        return mu + sigma * (math.gamma(1.0 - xi) - 1.0) / xi
+    except OverflowError:  # Gamma(1 - xi) beyond float range, so xi < -170
+        return -math.inf
 
 
 def gev_sample(params: GevParams, rng: np.random.Generator, size: int | None = None):
@@ -184,8 +180,6 @@ def gev_neg_log_likelihood(theta, maxima: np.ndarray) -> float:
 
 def pwm_start(maxima: np.ndarray) -> tuple[float, float, float]:
     """Probability-weighted-moment estimates (Hosking), used to seed the MLE."""
-    from scipy.special import gamma as gamma_fn
-
     x = np.sort(np.asarray(maxima, dtype=float))
     n = len(x)
     j = np.arange(1, n + 1)
@@ -202,8 +196,8 @@ def pwm_start(maxima: np.ndarray) -> tuple[float, float, float]:
     k = 7.8590 * c + 2.9554 * c * c  # Hosking's approximation; xi = -k
     if abs(k) < 1e-8:
         return _gumbel_moments(x)
-    sigma = l2 * k / ((1 - 2.0 ** (-k)) * gamma_fn(1 + k))
-    mu = l1 - sigma * (1 - gamma_fn(1 + k)) / k
+    sigma = l2 * k / ((1 - 2.0 ** (-k)) * math.gamma(1 + k))
+    mu = l1 - sigma * (1 - math.gamma(1 + k)) / k
     if not (math.isfinite(sigma) and sigma > 0 and math.isfinite(mu)):
         return _gumbel_moments(x)
     return mu, sigma, -k

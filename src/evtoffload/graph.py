@@ -16,6 +16,10 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 
+# `json.dumps` of one key or scalar that refuses NaN and the infinities, which
+# JSON has no form for; built once, as `json.dumps` builds its own default.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
 
 class GraphError(Exception):
     """Structurally unusable graph (cycle, bad construction input)."""
@@ -325,11 +329,12 @@ def write_json(path: str | Path, data) -> None:
     """Write `data` as every JSON file of the package is written: sorted keys,
     a two-space indent and a final newline.
 
-    The bytes are those of `json.dumps(data, indent=2, sort_keys=True)`.  An
-    indent sends `json` to its pure-Python encoder, so the layout is made
-    here and the values are encoded by the C encoder: a list of flat dicts
-    (nonempty, with scalar values) in one call, a dict of them in one call
-    per member, anything else value by value.  Keys must be strings.
+    The bytes are those of `json.dumps(data, indent=2, sort_keys=True)`, and
+    a NaN or infinite value raises ValueError before the file is opened.  An
+    indent sends `json` to its pure-Python encoder, so the layout is made here
+    and the values are encoded by the C encoder: a list of flat dicts
+    (nonempty, with scalar values) in one call, a dict of them in one call per
+    member, anything else value by value.  Keys must be strings.
     """
     write_text(path, _indented(data, 0) + "\n")
 
@@ -350,14 +355,15 @@ def _indented(value, depth: int) -> str:
             # One C call per member (each edge of a replay report's
             # `edge_exceedance`): its item separator carries the key indent.
             deeper = inner + "  "
+            separators = ("," + deeper, ": ")
             items = [
-                json.dumps(key) + ": {" + deeper
-                + json.dumps(value[key], sort_keys=True, separators=("," + deeper, ": "))[1:-1]
+                _encode(key) + ": {" + deeper
+                + json.dumps(value[key], sort_keys=True, separators=separators, allow_nan=False)[1:-1]
                 + inner + "}"
                 for key in sorted(value)
             ]
         else:
-            items = [json.dumps(key) + ": " + _indented(value[key], depth + 1) for key in sorted(value)]
+            items = [_encode(key) + ": " + _indented(value[key], depth + 1) for key in sorted(value)]
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
         if _are_flat_dicts(value):
@@ -366,12 +372,12 @@ def _indented(value, depth: int) -> str:
             # Encoded JSON has a raw newline only inside a separator, and a
             # scalar never ends in "}", so "},<newline>" ends a dict.
             deeper = inner + "  "
-            text = json.dumps(value, sort_keys=True, separators=("," + deeper, ": "))
+            text = json.dumps(value, sort_keys=True, separators=("," + deeper, ": "), allow_nan=False)
             body = text[2:-2].replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
             return "[" + inner + "{" + deeper + body + inner + "}" + pad + "]"
         items = [_indented(item, depth + 1) for item in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(value)
+    return _encode(value)
 
 
 def _are_flat_dicts(items) -> bool:

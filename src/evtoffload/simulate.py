@@ -390,12 +390,19 @@ def monte_carlo(
     rows = max(1, _CHUNK_ELEMENTS // replay.width)
     for start in range(0, replications, rows):
         stop = min(start + rows, replications)
-        chunk = replay.run([np.random.default_rng([model.seed, r]) for r in range(start, stop)])
+        try:
+            chunk = replay.run([np.random.default_rng([model.seed, r]) for r in range(start, stop)])
+        except OverflowError as exc:  # math.fsum's, when finite energy terms sum beyond float range
+            raise ValueError("the energy of a replication is beyond float range") from exc
         energies[start:stop] = chunk.energy
         violations += int(np.count_nonzero(chunk.done[replay.sink] > params.deadline_slots))
         for direction, seconds in chunk.seconds.items():
             exceed[direction] += np.count_nonzero(seconds > threshold[direction], axis=0)
 
+    with np.errstate(over="ignore"):  # a sum beyond float range is refused below
+        mean_energy = float(energies.mean())
+    if not math.isfinite(mean_energy):
+        raise ValueError(f"mean energy is {mean_energy}: an energy term or their sum is beyond float range")
     quantiles = {
         "p50": float(np.quantile(energies, 0.50)),
         "p90": float(np.quantile(energies, 0.90)),
@@ -412,7 +419,7 @@ def monte_carlo(
         }
     return SimReport(
         replications=replications,
-        mean_energy=float(energies.mean()),
+        mean_energy=mean_energy,
         energy_quantiles=quantiles,
         deadline_violation_rate=violations / replications,
         edge_exceedance=exceedance,

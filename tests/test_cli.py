@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from evtoffload import cli
 from evtoffload.cli import main
@@ -188,14 +190,17 @@ def _fresh_python(code: str) -> str:
     return done.stdout.strip()
 
 
-def test_commands_other_than_fitting_never_load_scipy(tmp_path):
+def test_every_command_runs_where_scipy_cannot_load(tmp_path):
     config, dag, decision = str(_toy_config(tmp_path)), _gen_dag(tmp_path), tmp_path / "decision.json"
     assert main(["--config", config, "solve", "--dag", str(dag), "--out", str(decision)]) == 0
     model = _write_model(tmp_path)
     gev = tmp_path / "gev.json"
     gev.write_text(json.dumps({"v_up": _GEV, "v_down": _GEV}))
+    trace = tmp_path / "trace.csv"
+    _write_trace_csv(trace)
     out = str(tmp_path / "out.json")
     commands = [
+        ["fit", "--traces", str(trace), "--k", "20", "--payload-bits", "10000", "--out", out],
         ["gen", "--nodes", "6", "--out", out],
         ["solve", "--dag", str(dag), "--out", out],
         ["solve", "--policy", "auto", "--dag", str(dag), "--out", out],
@@ -205,26 +210,26 @@ def test_commands_other_than_fitting_never_load_scipy(tmp_path):
         ["compare", "--dag", str(dag), "--gev", str(gev), "--eps-grid", "0.1",
          "--eps-m-grid", "0.1", "--out", out],
     ]
+    # A None entry in sys.modules makes every `import scipy` fail.
     code = (
-        "import sys, evtoffload, evtoffload.cli; "
+        "import sys; sys.modules['scipy'] = None; import evtoffload, evtoffload.cli; "
         f"codes = [evtoffload.cli.main(['--config', {config!r}] + c) for c in {commands!r}]; "
-        "print(codes, 'scipy' in sys.modules)"
+        "print(codes, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))"
     )
-    assert _fresh_python(code) == f"{[0] * len(commands)} False"
+    assert _fresh_python(code) == f"{[0] * len(commands)} ['scipy']"
 
 
-def test_fit_on_traces_loads_scipy_and_matches_an_in_process_fit(tmp_path):
+def test_fit_on_traces_never_loads_scipy_and_matches_an_in_process_fit(tmp_path):
     trace = tmp_path / "trace.csv"
     _write_trace_csv(trace)
     args = ["fit", "--traces", str(trace), "--k", "20", "--payload-bits", "10000"]
     fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
     code = (
-        "import sys; from evtoffload import cli; before = 'scipy' in sys.modules; "
-        f"print(before, cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules, "
-        "'scipy.optimize' in sys.modules)"
+        "import sys; from evtoffload import cli; "
+        f"print(cli.main({args + ['--out', str(fresh)]!r}), 'scipy' in sys.modules)"
     )
-    # scipy.special (for gamma) loads; scipy.optimize does not.
-    assert _fresh_python(code) == "False 0 True False"
+    # scipy is installed here, and the fit imports none of it.
+    assert _fresh_python(code) == "0 False"
     assert main(args + ["--out", str(here)]) == 0
     assert fresh.read_bytes() == here.read_bytes()
 
@@ -346,6 +351,66 @@ def _write_model(tmp_path) -> Path:
         )
     )
     return model
+
+
+def _uniform_model(path: Path, power: float, rate: float = 1.0, queue: float = 0.0,
+                   rate_floor_bps: float = 1.0) -> Path:
+    """A trace model whose every quantity is the constant given for it."""
+    const = {
+        "rate": {"family": "uniform", "params": {"low": rate, "high": rate}},
+        "queue": {"family": "uniform", "params": {"low": queue, "high": queue}},
+        "power": {"family": "uniform", "params": {"low": power, "high": power}},
+    }
+    model = {f"{kind}_{direction}": const[kind] for kind in ("rate", "power") for direction in ("up", "down")}
+    model.update(queue_up_bits=const["queue"], queue_down_bits=const["queue"], rate_floor_bps=rate_floor_bps)
+    path.write_text(json.dumps(model))
+    return path
+
+
+def _diagnosis_decision(tmp_path) -> tuple[str, str]:
+    """The shipped instance and its `solve` decision under the default config."""
+    dag, decision = str(INSTANCE_DIR / "smart_diagnosis.json"), tmp_path / "decision.json"
+    if not decision.exists():
+        assert main(["solve", "--dag", dag, "--out", str(decision)]) == 0
+    return dag, str(decision)
+
+
+def test_simulate_refuses_energies_beyond_float_range(tmp_path, capsys):
+    # Each transfer's energy term, 1e305 mW times its bits at 1 bps, is beyond
+    # float range: the report would hold Infinity and NaN quantiles.
+    dag, decision = _diagnosis_decision(tmp_path)
+    model, out = _uniform_model(tmp_path / "model.json", power=1e305), tmp_path / "report.json"
+    args = ["simulate", "--dag", dag, "--decision", decision, "--model", str(model), "--replications", "2"]
+    capsys.readouterr()
+    assert main(args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: mean energy is inf: ")
+    assert not out.exists()
+
+
+_MAGNITUDE = st.floats(-300.0, 308.0).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(power=_MAGNITUDE, rate=_MAGNITUDE, queue=_MAGNITUDE, rate_floor_bps=_MAGNITUDE)
+@example(power=1e305, rate=1.0, queue=1e-300, rate_floor_bps=1.0)
+@example(power=5e303, rate=1.0, queue=1e-300, rate_floor_bps=1.0)  # finite terms, an infinite sum
+def test_simulate_writes_finite_json_or_refuses(tmp_path, capsys, power, rate, queue, rate_floor_bps):
+    dag, decision = _diagnosis_decision(tmp_path)
+    model = _uniform_model(tmp_path / "model.json", power, rate, queue, rate_floor_bps)
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(["simulate", "--dag", dag, "--decision", decision, "--model", str(model),
+                 "--replications", "2", "--out", str(out)])
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+        # parse_constant sees only NaN, Infinity and -Infinity, which are not JSON.
+        report = json.loads(out.read_text(), parse_constant=lambda name: pytest.fail(f"{name} in {out}"))
+        assert report["replications"] == 2
+    else:
+        assert code == 2 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_simulate_roundtrip(tmp_path):

@@ -158,6 +158,15 @@ def test_mean_finite_iff_shape_below_one():
     assert not math.isfinite(gev_mean(GevParams(0, 1, 1.0)))
 
 
+@pytest.mark.parametrize("xi", [-171.0, -200.0, -1e6])
+def test_mean_below_float_range_is_minus_infinity(xi):
+    # Gamma(1 - xi) lies beyond float range from 1 - xi = 171.6 up; the mean
+    # is then -inf, as a quantile beyond float range is infinite, and no
+    # OverflowError escapes.
+    assert gev_mean(GevParams(0, 1, xi)) == -math.inf
+    assert gev_mean(GevParams(5, 1e-3, xi)) == -math.inf
+
+
 # --- sampling ---------------------------------------------------------------
 
 def test_sample_deterministic_given_seed():
@@ -218,6 +227,30 @@ def test_fit_improves_on_pwm_start():
     start_nll = gev_neg_log_likelihood(pwm_start(maxima), maxima)
     fit_nll = gev_neg_log_likelihood((fitted.mu, fitted.sigma, fitted.xi), maxima)
     assert fit_nll <= start_nll
+
+
+_MAGNITUDES = st.integers(-300, 299)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    st.one_of(
+        # One scale for the whole sample, or one per value (spikes).
+        st.tuples(st.lists(st.floats(0.0, 10.0), min_size=10, max_size=60), _MAGNITUDES).map(
+            lambda sample: [value * 10.0**sample[1] for value in sample[0]]
+        ),
+        st.lists(
+            st.builds(lambda value, exponent: value * 10.0**exponent, st.floats(0.0, 10.0), _MAGNITUDES),
+            min_size=10,
+            max_size=60,
+        ),
+    )
+)
+def test_pwm_start_is_finite_on_any_magnitude(values):
+    # Hosking's k stays in about (-1, 4), since a sample's |t3| < 1, so the
+    # Gamma function of the start never leaves float range.
+    start = pwm_start(np.array(values))
+    assert all(map(math.isfinite, start)) and start[1] > 0
 
 
 def test_fit_support_holds_for_every_maximum():

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -276,10 +277,20 @@ _FLAT_DICT_DICTS = st.dictionaries(st.text(max_size=4), _FLAT_DICTS, min_size=1,
 @example(data={"1->2": {"direction": '},\n    "x": {\\n', "rate": 0.5}, "2->3": {"a": "\\n},"}})
 @example(data={"1->2": {"rate": 0.5}, "2->3": {"a": {"b": 1}}, "3->4": {"c": [1, {"d": 2}]}})
 @example(data={"edge_exceedance": {"1->2": {"events": 3, "rate": 1 / 3}}, "seed": 0})
+@example(data={"mean_energy": math.inf, "p50": math.nan})
 def test_write_json_matches_the_indenting_encoder(tmp_path, data):
+    # NaN and the infinities are not JSON: both refuse them, and no file is written.
     path = tmp_path / "data.json"
+    path.unlink(missing_ok=True)
+    try:
+        expected = json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_json(path, data)
+        assert not path.exists()
+        return
     write_json(path, data)
-    assert path.read_text() == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert path.read_text() == expected
 
 
 def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
