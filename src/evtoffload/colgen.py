@@ -26,11 +26,13 @@ windows, transfer energy and slot offsets of v's neighbours.  The state
 keeps all of these from round to round and each round recomputes just
 those rows, by the same functions that compute every row of a fresh
 state; one incidence index, laid out from the graph's CSR lists, finds v's
-edges and its neighbours' rows.  psi and the dual normalisation are exact
-running sums (`ExactSum`, integers in units of 2**-1074), so they read out
-exactly what `math.fsum` of all the terms gives.  Only the dual-weighted
-pricing sums, which the normalisation changes everywhere, and the slot
-choice are redone in full every round.
+edges, and a list of each node's neighbours' rows finds theirs.  psi and
+the dual normalisation are exact running sums (`ExactSum`, integers in
+units of 2**-1074) that read out what `math.fsum` of all the terms gives: a
+fresh state fills them in bulk with numpy, a round adds its few changed
+terms one at a time.  Only the dual-weighted pricing sums, which the
+normalisation changes everywhere, and each node's slot and zeta are redone
+in full every round, element-wise over the arrays indexed by node id.
 
 Dual prices are tightness weights: each dependency edge is priced
 1/(1 + margin) of the current schedule, normalized to sum 1.  The master is
@@ -129,6 +131,9 @@ class PricingTable:
 
 # 2**-1074 is the least positive double: every finite double is a multiple.
 _SUM_SHIFT = 1074
+# An update of more rows than this is summed in bulk; below it the loop over
+# the terms is quicker than the bulk sum's dozen numpy calls.
+_BULK_ROWS = 64
 
 
 class ExactSum:
@@ -146,23 +151,41 @@ class ExactSum:
         self.scaled = 0
 
     def update(self, rows, new: np.ndarray) -> None:
-        """Set `terms[rows] = new`; the sum follows the terms that change."""
-        changed = [(a, b) for a, b in zip(self.terms[rows].tolist(), new.tolist()) if a != b]
-        if changed:
-            gone, came = zip(*changed)
-            self._add(gone, -1)
-            self._add(came, 1)
+        """Set `terms[rows] = new`: the sum loses the old terms, gains the new."""
+        old = self.terms[rows]
+        if len(old) > _BULK_ROWS:
+            self.scaled += _bulk_scaled(np.concatenate([new, -old]))
+        else:
+            self.scaled += _scaled(new.tolist()) - _scaled(old.tolist())
         self.terms[rows] = new
-
-    def _add(self, terms, sign: int) -> None:
-        scaled = 0
-        for term in filter(None, terms):  # zeros add nothing
-            n, d = term.as_integer_ratio()
-            scaled += n << (_SUM_SHIFT + 1 - d.bit_length())
-        self.scaled += sign * scaled
 
     def value(self) -> float:
         return self.scaled / (1 << _SUM_SHIFT)
+
+
+def _scaled(terms) -> int:
+    """The exact sum of float `terms` in 2**-1074 units, term by term."""
+    scaled = 0
+    for term in filter(None, terms):  # zeros add nothing
+        n, d = term.as_integer_ratio()
+        scaled += n << (_SUM_SHIFT + 1 - d.bit_length())
+    return scaled
+
+
+def _bulk_scaled(terms: np.ndarray) -> int:
+    """`_scaled(terms)` without a Python loop over the terms.
+
+    A term of binary exponent e is an integer m, |m| < 2**53, times 2**s
+    units, s = max(e + 1021, 0), and `ldexp` gives m exactly.  The 26-bit
+    halves of m are summed per s by `bincount`, exactly for fewer than 2**26
+    terms (float64 holds every integer below 2**53), then shifted once per s.
+    """
+    shift = np.maximum(np.frexp(terms)[1] + (_SUM_SHIFT - 53), 0)
+    whole = np.ldexp(terms, _SUM_SHIFT - shift).astype(np.int64)
+    high = np.bincount(shift, weights=whole >> 26)
+    low = np.bincount(shift, weights=whole & ((1 << 26) - 1))
+    at = np.flatnonzero(high * (1 << 26) + low)  # rounds to 0 only where it is 0
+    return sum(((int(h) << 26) + int(lo)) << s for s, h, lo in zip(at.tolist(), high[at].tolist(), low[at].tolist()))
 
 
 class SolverState:
@@ -180,7 +203,9 @@ class SolverState:
     CSR entries, then its child CSR entries, in the graph's order (each
     group by the id at the other end).  `np.bincount` adds in input order,
     so each coefficient is summed exactly as a scalar loop over the node's
-    CSR lists would.  `ptr[v]:ptr[v + 1]` are the rows of node v.
+    CSR lists would.  `ptr[v]:ptr[v + 1]` are the rows of node v;
+    `near_rows[near[v]:near[v + 1]]` are its neighbours' rows, neighbour by
+    neighbour, and `near_group` the neighbour's place among v's rows.
 
     The round arrays - edge margins and dual weights, the psi terms, and
     each node's window, transfer energy and slot offsets - are kept from one
@@ -200,11 +225,11 @@ class SolverState:
         self.node_ids = ids = graph.node_ids
         self.ids = np.array(ids, dtype=np.int64)
         self.size = size = max(ids, default=0) + 1
-        self.interior = np.array(sorted(graph.interior_ids()), dtype=np.int64)
+        self.interior = np.sort(self.ids[(self.ids > 1) & (self.ids < graph.n_nodes)])  # `interior_ids()`
         self.src = np.array(graph.edge_src, dtype=np.int64)
         self.dst = np.array(graph.edge_dst, dtype=np.int64)
         n_edges = len(self.src)
-        self.all_edges = np.arange(n_edges)
+        self.all_edges, self.all_nodes = np.arange(n_edges), np.arange(size)
 
         self.on_server = np.zeros(size, dtype=bool)
         self.blacklist = np.zeros(size, dtype=bool)
@@ -224,13 +249,13 @@ class SolverState:
         self.down_energy[1, 0] = slots.down
 
         # A slot count beyond T + 1 empties every window and fails every
-        # schedule exactly as T + 1 does; the cap keeps int64 arithmetic exact.
+        # schedule exactly as T + 1 does; the cap keeps int64 arithmetic
+        # exact.  The counts are capped as Python ints, in one object array.
         cap = params.deadline_slots + 1
         self.exec_slots = np.zeros((2, size), dtype=np.int64)
-        self.exec_slots[:, self.ids] = [
-            list(map(min, map(side.__getitem__, ids), itertools.repeat(cap)))
-            for side in (slots.client, slots.server)
-        ]
+        self.exec_slots[:, self.ids] = np.minimum(
+            np.array([list(map(side.__getitem__, ids)) for side in (slots.client, slots.server)], dtype=object), cap
+        )
         self.transfer_slots = np.array(
             [[min(params.transfer_slots(a, b), cap) for b in (CLIENT, SERVER)] for a in (CLIENT, SERVER)],
             dtype=np.int64,
@@ -249,11 +274,16 @@ class SolverState:
         self.inc_edge = inc_edge = np.array(graph.parent_edge + graph.child_edge, dtype=np.int64)[order]
         self.inc_node = inc_node = np.where(up, self.dst[inc_edge], self.src[inc_edge])
         self.inc_other = other = np.where(up, self.src[inc_edge], self.dst[inc_edge])
-        self.ptr = np.searchsorted(inc_node, np.arange(size + 1))
+        self.ptr = ptr = np.searchsorted(inc_node, np.arange(size + 1))
         self.all_rows = np.arange(len(order))
         self.par_rows, self.chi_rows = np.flatnonzero(up), np.flatnonzero(~up)
         self.par_node, self.par_edge = inc_node[self.par_rows], inc_edge[self.par_rows]
         self.chi_node, self.chi_edge = inc_node[self.chi_rows], inc_edge[self.chi_rows]
+        count = np.diff(ptr)[other]  # rows of each row's neighbour
+        start = np.concatenate([[0], np.cumsum(count)])
+        self.near = start[ptr]
+        self.near_rows = np.arange(start[-1]) + np.repeat(ptr[other] - start[:-1], count)
+        self.near_group = np.repeat(self.all_rows - ptr[inc_node], count)
 
         # Per row, by the location of the row's other node.  The offset
         # base[r] = sched[other] - row_head: the slot after which the node's
@@ -317,7 +347,7 @@ class SolverState:
         gives it; the parts are added in the same order.
         """
         loc = self.on_server.view(np.uint8)
-        nodes = self.ids if moved is None else np.array([moved])
+        nodes = self.ids if moved is None else self.all_nodes[moved:moved + 1]
         edges = self.edges_at(moved)
         s, d = loc[self.src[edges]], loc[self.dst[edges]]
         self.local.update(nodes, self.local_energy[loc[nodes], nodes])
@@ -329,7 +359,7 @@ class SolverState:
         """Exact psi change from relocating `node` to the server: minus its
         local term, then its row terms one at a time in row order, which is
         the order, and so the value, of a walk over its parents and children."""
-        rows = np.arange(self.ptr[node], self.ptr[node + 1])
+        rows = self.all_rows[self.ptr[node]:self.ptr[node + 1]]
         loc = self.on_server.view(np.uint8)[self.inc_other[rows]]
         change = -float(self.local_energy[0, node])
         for term in self.row_delta[loc, rows].tolist():
@@ -343,26 +373,25 @@ class SolverState:
         move of `moved` changes the rows of its neighbours alone.  The window
         (t_min, t_max) holds every slot that keeps all constraints touching
         the node satisfied with the rest of the schedule unchanged; t_min >
-        t_max marks an empty window.
+        t_max marks an empty window.  Each row reduces into its node's place
+        in `nodes` (`group`), so every array the update makes is that long.
         """
         if moved is None:
-            nodes, rows = self.ids, self.all_rows
+            nodes, rows, group = self.all_nodes, self.all_rows, self.inc_node
         else:
             nodes = self.inc_other[self.ptr[moved]:self.ptr[moved + 1]]
-            # Each neighbour's rows ptr[n]..ptr[n + 1] - 1, one after another.
-            start, count = self.ptr[nodes], self.ptr[nodes + 1] - self.ptr[nodes]
-            rows = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-        other, node, up = self.inc_other[rows], self.inc_node[rows], self.inc_parent[rows]
+            span = slice(self.near[moved], self.near[moved + 1])
+            rows, group = self.near_rows[span], self.near_group[span]
+        other, up, deadline = self.inc_other[rows], self.inc_parent[rows], self.params.deadline_slots
         loc = self.on_server.view(np.uint8)[other]
         base = self.schedule[other] - self.row_head[loc, rows]
         self.offset_base[rows] = base
         bound = base + self.row_shift[loc, rows]
-        self.t_min[nodes] = self.t_floor[nodes]
-        np.maximum.at(self.t_min, node, bound * up)
-        self.t_max[nodes] = self.params.deadline_slots
-        np.minimum.at(self.t_max, node, np.where(up, self.params.deadline_slots, bound))
-        transfer = np.bincount(node, weights=self.row_energy[loc, rows], minlength=self.size)
-        self.tr[nodes] = transfer[nodes]
+        t_min, t_max = self.t_floor[nodes], np.full(len(nodes), deadline)
+        np.maximum.at(t_min, group, bound * up)
+        np.minimum.at(t_max, group, np.where(up, deadline, bound))
+        self.t_min[nodes], self.t_max[nodes] = t_min, t_max
+        self.tr[nodes] = np.bincount(group, weights=self.row_energy[loc, rows], minlength=len(nodes))
 
     def coefficients(self):
         """(tr, ps, po, cs, co) by node id, zeta(t) = `_zeta(tr, ps, po, cs, co, t)`.
@@ -384,11 +413,13 @@ class SolverState:
     def price(self, nodes, moved: int | None = None) -> PricingTable:
         """Slot and zeta of each of `nodes` (ascending ids) with a nonempty window."""
         self.refresh(moved)
+        # Slot and zeta of every id, element by element, then one gather.
+        tr, ps, po, cs, co = self.coefficients()
+        slot = np.where(cs - ps >= 0.0, self.t_min, self.t_max)
+        zeta = _zeta(tr, ps, po, cs, co, slot.astype(float))
         nodes = np.asarray(nodes, dtype=np.int64)
         nodes = nodes[self.t_min[nodes] <= self.t_max[nodes]]
-        tr, ps, po, cs, co = (c[nodes] for c in self.coefficients())
-        slot = np.where(cs - ps >= 0.0, self.t_min[nodes], self.t_max[nodes])
-        return PricingTable(nodes, slot, _zeta(tr, ps, po, cs, co, slot.astype(float)))
+        return PricingTable(nodes, slot[nodes], zeta[nodes])
 
 
 def _zeta(tr, ps, po, cs, co, t):
@@ -424,7 +455,8 @@ class SolveResult:
 
 
 def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
-    """All-local starting state with the serial one-module-at-a-time schedule.
+    """All-local starting state with the serial one-module-at-a-time
+    schedule, after its first master step (`solve_rmp`).
 
     Serializing the whole application is what leaves slack between
     independent branches for later pricing windows.  When the serial
@@ -447,7 +479,7 @@ def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
     state = SolverState(graph, params)
     # Every slot is within the deadline, so it fits in int64.
     state.schedule[list(schedule)] = list(schedule.values())
-    state.psi_upper = state.psi()
+    solve_rmp(state)
     return state
 
 
@@ -516,10 +548,10 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
     psi_floor = attribution_lower_bound(state)
     log: list[IterationRecord] = []
     exit_reason: str | None = None
-    # The node admitted since the last priced round (None: a fresh state),
-    # and that round's table (None: reprice).
+    # The node admitted since the last priced round, and that round's table
+    # (None: reprice).  The first round prices the master step of `initial_rmp`.
     moved: int | None = None
-    table: PricingTable | None = None
+    table: PricingTable | None = _price_all(state)
     round_idx = 0
     max_rounds = 2 * graph.n_nodes + 8
 
@@ -601,14 +633,9 @@ def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:
     text = io.StringIO()
     writer = csv.writer(text)
     writer.writerow(["iter", "psi_upper", "psi_lower", "r_underbar", "admitted_node"])
-    for rec in log:
-        writer.writerow(
-            [
-                rec.index,
-                repr(rec.psi_upper),
-                repr(rec.psi_lower),
-                repr(rec.r_underbar),
-                "" if rec.admitted_node is None else rec.admitted_node,
-            ]
-        )
+    writer.writerows(
+        [rec.index, repr(rec.psi_upper), repr(rec.psi_lower), repr(rec.r_underbar),
+         "" if rec.admitted_node is None else rec.admitted_node]
+        for rec in log
+    )
     write_text(path, text.getvalue())

@@ -13,6 +13,8 @@ import heapq
 import itertools
 import json
 import operator
+import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -341,8 +343,15 @@ def write_json(path: str | Path, data) -> None:
 
 def write_text(path: str | Path, text: str) -> None:
     """Write `text` to `path` as it is, without newline translation; every
-    output file of the package is written here."""
-    Path(path).write_text(text, newline="")
+    output file of the package is written here.  A file is rewritten in
+    place and then, if it is a regular file (`/dev/null` is not), cut to the
+    length written: truncating it first can make the close wait for the
+    disk.  A new file gets the mode `open(path, "w")` gives it."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", newline="") as out:
+        out.write(text)
+        out.flush()
+        if stat.S_ISREG(os.fstat(out.fileno()).st_mode):
+            os.ftruncate(out.fileno(), out.buffer.tell())
 
 
 def _indented(value, depth: int) -> str:

@@ -297,12 +297,15 @@ class _Replay:
         np.maximum(queue, 0.0, out=queue)
         np.maximum(rate, self.rate_floor, out=rate)
         np.maximum(power, 0.0, out=power)
-        with np.errstate(over="ignore"):  # an infinite time saturates at the cap
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite time saturates at the cap
             queue += bits
             queue /= rate
             power *= bits
             power /= rate
             slots = np.divide(queue, self.delta_s, out=rate)
+        if np.isnan(queue).any():
+            raise ValueError(f"queue_{direction}_bits and rate_{direction} both draw infinity: "
+                             f"the {direction}link transfer time is undefined")
         np.ceil(slots, out=slots)
         np.minimum(slots, self.cap, out=slots)
         edge_slots[self.edge_rows[direction]] = slots.T

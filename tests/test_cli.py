@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -411,6 +412,24 @@ def test_simulate_writes_finite_json_or_refuses(tmp_path, capsys, power, rate, q
     else:
         assert code == 2 and not out.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_refuses_undefined_transfer_times(tmp_path, capsys):
+    # Every uplink queue and rate draw is infinite, so each uplink time is
+    # inf/inf: an undefined time must not be replayed as a met deadline.
+    dag, decision = _diagnosis_decision(tmp_path)
+    model = json.loads(_uniform_model(tmp_path / "model.json", power=10.0, rate=1e6).read_text())
+    model["queue_up_bits"] = model["rate_up"] = {"family": "lognormal", "params": {"mean_log": 1000, "sigma_log": 0}}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    out = tmp_path / "report.json"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code = main(["simulate", "--dag", dag, "--decision", decision, "--model", str(tmp_path / "model.json"),
+                     "--replications", "4", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and not out.exists()
+    assert err.count("\n") == 1 and err.startswith("error: queue_up_bits and rate_up both draw infinity")
 
 
 def test_simulate_roundtrip(tmp_path):

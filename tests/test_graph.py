@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -305,6 +307,28 @@ def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
     )
     write_text(path, "a\r\n")
     assert path.read_bytes() == b"a\r\n"
+
+
+def test_a_new_output_file_gets_the_mode_open_gives(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        write_text(tmp_path / "written", "x")
+        open(tmp_path / "opened", "w").close()
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("written", "opened")]
+    assert modes[0] == modes[1] == 0o640
+
+
+def test_outputs_can_be_written_to_the_null_device():
+    write_json(os.devnull, {"a": [1]})
+    write_text(os.devnull, "a\n")
+
+
+def test_write_json_refuses_nan_before_the_file_is_opened(tmp_path):
+    # Opening a path in a missing directory would raise FileNotFoundError.
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json(tmp_path / "missing" / "data.json", {"a": math.nan})
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evtoffload.colgen import SolverState
+from evtoffload.colgen import ExactSum, SolverState
 from evtoffload.energy import check_constraints, slot_table, worst_case_expected_energy
 from evtoffload.graph import DataEdge, TaskGraph, TaskModule
 
@@ -143,3 +144,51 @@ def test_incidence_rows_are_the_graph_csr_lists(graph):
         assert state.inc_edge[rows].tolist() == parent_edges + child_edges
         assert state.inc_other[rows].tolist() == graph.parent_id[par] + graph.child_id[chi]
         assert state.inc_parent[rows].tolist() == [True] * len(parent_edges) + [False] * len(child_edges)
+        # v's neighbours' rows, each labelled with the neighbour's place among v's rows.
+        span = slice(state.near[v], state.near[v + 1])
+        nearby = [(i, row) for i, n in enumerate(state.inc_other[rows].tolist())
+                  for row in range(state.ptr[n], state.ptr[n + 1])]
+        assert list(zip(state.near_group[span].tolist(), state.near_rows[span].tolist())) == nearby
+
+
+TERMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+    st.floats(-1e-300, 1e-300),  # subnormals among them
+)
+
+
+@st.composite
+def sum_steps(draw):
+    """Terms for an `ExactSum` of `size` rows and the updates that set them.
+
+    Some terms come from one binade with mantissas near its top, where more
+    than 1 024 of them sum beyond int64 if their 53-bit integers are not
+    split; the rest are drawn terms, spread from 0 through subnormals to
+    1e300.  The updates fill every row at once (the bulk path), set a subset
+    of more than 64 rows, then set single rows in random order (the scalar
+    path).
+    """
+    size = draw(st.integers(1, 2100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binade = np.ldexp(1.0 - rng.integers(1, 1 << 20, 2 * size) * 2.0**-53, draw(st.integers(-1074, 996)))
+    drawn = np.array(draw(st.lists(TERMS, min_size=1, max_size=30)))
+    share = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    terms = np.where(rng.random(2 * size) < share, binade, rng.choice(drawn, 2 * size))
+    subset = rng.permutation(size)[:draw(st.integers(65, max(65, size)))]
+    singles = rng.permutation(size)[:draw(st.integers(0, 60))]
+    return size, [
+        (np.arange(size), terms[:size]),
+        (subset, terms[size:size + len(subset)]),
+        *((slice(row, row + 1), terms[-1 - i:][:1]) for i, row in enumerate(singles.tolist())),
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sum_steps())
+def test_exact_sum_is_the_fsum_of_its_terms(steps):
+    size, updates = steps
+    total = ExactSum(size)
+    for rows, new in updates:
+        total.update(rows, new)
+        assert total.value().hex() == math.fsum(total.terms.tolist()).hex()
