@@ -9,7 +9,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import colgen, mincut
+from . import colgen, energy, mincut
 from .energy import InfeasibleError, OffloadDecision, SystemParams, TraceExhaustedError
 from .gev import (
     FitConvergenceError,
@@ -20,7 +20,7 @@ from .gev import (
     load_trace_samples,
     GevParams,
 )
-from .graph import GraphError, is_int, load_graph, save_graph, write_json
+from .graph import GraphError, load_graph, save_graph, write_json
 from .lazy import lazy_numpy
 from .oracle import brute_force_optimum
 from .simulate import LayeredDagSpec, TraceModel, gen_layered_dag, monte_carlo
@@ -30,24 +30,6 @@ np = lazy_numpy()
 
 def _load_params(args) -> SystemParams:
     return SystemParams.from_json(args.config) if args.config else SystemParams()
-
-
-def _decision_from_file(path: str) -> OffloadDecision:
-    data = json.loads(Path(path).read_text())
-    try:
-        nodes = [(item["id"], item["location"], item["slot"]) for item in data["nodes"]]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"decision {path}: every node needs an id, a location and a slot") from exc
-    seen = set()
-    for node, _, slot in nodes:
-        if not (is_int(node) and is_int(slot)):
-            raise ValueError(f"decision {path}: node ids and slots must be integers, got {node!r}, {slot!r}")
-        if node in seen:
-            raise ValueError(f"decision {path}: node {node} is listed twice")
-        seen.add(node)
-    return OffloadDecision(
-        location={node: where for node, where, _ in nodes}, slot={node: slot for node, _, slot in nodes}
-    )
 
 
 def cmd_fit(args) -> int:
@@ -83,9 +65,9 @@ def cmd_solve(args) -> int:
     params = _load_params(args)
     solver = mincut.solve if args.policy == "auto" else colgen.solve
     result = solver(graph, params)
-    colgen.write_decision_json(args.out, result)
+    energy.write_decision_json(args.out, result)
     if args.log:
-        colgen.write_iteration_log(args.log, result.log)
+        energy.write_iteration_log(args.log, result.log)
     return 0
 
 
@@ -93,26 +75,16 @@ def cmd_oracle(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
     result = brute_force_optimum(graph, params)
-    write_json(
-        args.out,
-        {
-            "psi": result.psi_star,
-            "psi_lower": result.psi_star,
-            "psi_upper": result.psi_star,
-            "epsilon": 0.0,
-            "iterations": 0,
-            "assignments_enumerated": result.assignments_enumerated,
-            "feasible_count": result.feasible_count,
-            "nodes": result.decision.export_nodes(),
-        },
-    )
+    result.decision.to_json(args.out, result.psi_star, result.psi_star, 0.0, 0,
+                            assignments_enumerated=result.assignments_enumerated,
+                            feasible_count=result.feasible_count)
     return 0
 
 
 def cmd_simulate(args) -> int:
     graph = load_graph(args.dag)
     params = _load_params(args)
-    decision = _decision_from_file(args.decision)
+    decision = OffloadDecision.from_json(args.decision)
     model = TraceModel.from_json(args.model)
     if args.seed is not None:
         model = dataclasses.replace(model, seed=args.seed)
@@ -193,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve one instance")
     p.add_argument("--dag", required=True)
     p.add_argument("--policy", choices=["auto", "cg"], default="cg",
-                   help="auto: exact min cut when it meets the deadline, else cg")
+                   help="auto: exact min cut when it meets the deadline, else the offload "
+                        "window search on a chain and cg on any other graph")
     p.add_argument("--log", help="iteration log CSV path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_solve)

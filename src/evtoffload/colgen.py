@@ -57,36 +57,33 @@ admitted slot lies in the node's window, which keeps every edge at the node,
 the slot range and source execution satisfied, and no other row moves, so
 every schedule the loop holds is feasible and no round re-checks it.
 
-Bound bookkeeping: psi_upper is psi of the schedule, so a result keeps
-only psi_lower and exports its report's psi as psi_upper.  The log's
-r_underbar is the pricing value of each round, but psi_lower is held at a
-provable floor on psi (`attribution_lower_bound`) because the textbook
-update psi_upper + K * r_underbar can overshoot the true optimum.  The ratio
-exit reads epsilon from `params`.  A nonnegative-pricing exit is labelled
-optimal only when psi_upper, the energy of a feasible decision, meets the
-floor, which is below every decision's energy.
+Bound bookkeeping: the log's r_underbar is the pricing value of each
+round, but psi_lower is held at a provable floor on psi
+(`attribution_lower_bound`) because the textbook update psi_upper + K *
+r_underbar can overshoot the true optimum.  The ratio exit reads epsilon
+from `params`.  A nonnegative-pricing exit is labelled optimal only when
+psi_upper, the energy of a feasible decision, meets the floor, which is
+below every decision's energy.
 """
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from .energy import (
     CLIENT,
     SERVER,
     InfeasibleError,
+    IterationRecord,
     OffloadDecision,
-    EnergyReport,
+    SolveResult,
     SystemParams,
     check_constraints,
     slot_table,
     worst_case_expected_energy,
 )
-from .graph import TaskGraph, check_graph, topological_order, write_json, write_text
+from .graph import TaskGraph, check_graph, topological_order
 from .lazy import lazy_numpy
 from .oracle import earliest_completion
 
@@ -427,33 +424,6 @@ def _zeta(tr, ps, po, cs, co, t):
     return tr - (ps * t - po) - (co - cs * t)
 
 
-@dataclass
-class IterationRecord:
-    index: int
-    psi_upper: float
-    psi_lower: float
-    r_underbar: float
-    admitted_node: int | None
-
-
-@dataclass
-class SolveResult:
-    """A solve's decision and report; its upper bound is `report.psi`."""
-
-    decision: OffloadDecision
-    report: EnergyReport
-    psi_lower: float
-    log: list[IterationRecord]
-    exit_reason: str
-    optimal_certified: bool
-    epsilon: float
-
-    @property
-    def iterations(self) -> int:
-        """Admissions: the rounds of `log` that admitted a node."""
-        return sum(rec.admitted_node is not None for rec in self.log)
-
-
 def initial_rmp(graph: TaskGraph, params: SystemParams) -> SolverState:
     """All-local starting state with the serial one-module-at-a-time
     schedule, after its first master step (`solve_rmp`).
@@ -611,31 +581,3 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
         epsilon=params.epsilon,
     )
 
-
-def decision_export_dict(result: SolveResult) -> dict:
-    return {
-        "psi": result.report.psi,
-        "psi_lower": result.psi_lower,
-        "psi_upper": result.report.psi,
-        "epsilon": result.epsilon,
-        "iterations": result.iterations,
-        "exit_reason": result.exit_reason,
-        "optimal_certified": result.optimal_certified,
-        "nodes": result.decision.export_nodes(),
-    }
-
-
-def write_decision_json(path: str | Path, result: SolveResult) -> None:
-    write_json(path, decision_export_dict(result))
-
-
-def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:
-    text = io.StringIO()
-    writer = csv.writer(text)
-    writer.writerow(["iter", "psi_upper", "psi_lower", "r_underbar", "admitted_node"])
-    writer.writerows(
-        [rec.index, repr(rec.psi_upper), repr(rec.psi_lower), repr(rec.r_underbar),
-         "" if rec.admitted_node is None else rec.admitted_node]
-        for rec in log
-    )
-    write_text(path, text.getvalue())

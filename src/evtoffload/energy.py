@@ -3,11 +3,14 @@
 All timing arithmetic is in integer slots of length delta_s; the worst-case
 transfer-time quantiles (seconds) are converted once to whole slots.  The
 energy unit is whatever kappa*cycles*Hz^2 and theta*bits imply for the given
-config; nothing here asserts Joules.
+config; nothing here asserts Joules.  What every solver returns and writes
+is here too: the solve result, the decision file and the iteration log.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import numbers
@@ -15,7 +18,7 @@ from dataclasses import dataclass, asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .graph import TaskGraph, write_json
+from .graph import TaskGraph, is_int, write_json, write_text
 
 CLIENT = "client"
 SERVER = "server"
@@ -230,11 +233,33 @@ class OffloadDecision:
     def server_set(self) -> set[int]:
         return {n for n, loc in self.location.items() if loc == SERVER}
 
-    def export_nodes(self) -> list[dict]:
-        """The `nodes` list of a decision JSON, by node id."""
-        return [
-            {"id": n, "location": self.location[n], "slot": self.slot[n]} for n in sorted(self.location)
-        ]
+    def to_json(self, path: str | Path, psi: float, psi_lower: float, epsilon: float, iterations: int,
+                **extra) -> None:
+        """Write the decision file every decider writes: the bounds
+        (`psi_upper` is `psi`), `epsilon`, `iterations`, the `nodes` list by
+        node id, and the decider's own `extra` keys."""
+        nodes = [{"id": n, "location": self.location[n], "slot": self.slot[n]} for n in sorted(self.location)]
+        write_json(path, {"psi": psi, "psi_lower": psi_lower, "psi_upper": psi, "epsilon": epsilon,
+                          "iterations": iterations, "nodes": nodes, **extra})
+
+    @classmethod
+    def from_json(cls, path: str | Path) -> "OffloadDecision":
+        """The decision of a decision file; keys other than `nodes` are not read."""
+        data = json.loads(Path(path).read_text())
+        try:
+            nodes = [(item["id"], item["location"], item["slot"]) for item in data["nodes"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"decision {path}: every node needs an id, a location and a slot") from exc
+        seen = set()
+        for node, _, slot in nodes:
+            if not (is_int(node) and is_int(slot)):
+                raise ValueError(f"decision {path}: node ids and slots must be integers, got {node!r}, {slot!r}")
+            if node in seen:
+                raise ValueError(f"decision {path}: node {node} is listed twice")
+            seen.add(node)
+        return cls(
+            location={node: where for node, where, _ in nodes}, slot={node: slot for node, _, slot in nodes}
+        )
 
 
 @dataclass(frozen=True)
@@ -245,6 +270,51 @@ class EnergyReport:
     local_exec_energy: float
     uplink_energy: float
     downlink_energy: float
+
+
+@dataclass
+class IterationRecord:
+    index: int
+    psi_upper: float
+    psi_lower: float
+    r_underbar: float
+    admitted_node: int | None
+
+
+@dataclass
+class SolveResult:
+    """A solve's decision and report.  psi_upper is psi of the schedule, so a
+    result keeps only psi_lower and exports its report's psi as psi_upper."""
+
+    decision: OffloadDecision
+    report: EnergyReport
+    psi_lower: float
+    log: list[IterationRecord]
+    exit_reason: str
+    optimal_certified: bool
+    epsilon: float
+
+    @property
+    def iterations(self) -> int:
+        """Admissions: the rounds of `log` that admitted a node."""
+        return sum(rec.admitted_node is not None for rec in self.log)
+
+
+def write_decision_json(path: str | Path, result: SolveResult) -> None:
+    result.decision.to_json(path, result.report.psi, result.psi_lower, result.epsilon, result.iterations,
+                            exit_reason=result.exit_reason, optimal_certified=result.optimal_certified)
+
+
+def write_iteration_log(path: str | Path, log: list[IterationRecord]) -> None:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["iter", "psi_upper", "psi_lower", "r_underbar", "admitted_node"])
+    writer.writerows(
+        [rec.index, repr(rec.psi_upper), repr(rec.psi_lower), repr(rec.r_underbar),
+         "" if rec.admitted_node is None else rec.admitted_node]
+        for rec in log
+    )
+    write_text(path, text.getvalue())
 
 
 def worst_case_expected_energy(

@@ -19,8 +19,7 @@ import math
 from dataclasses import replace
 
 from . import colgen
-from .colgen import SolveResult
-from .energy import CLIENT, SERVER, InfeasibleError, SystemParams, slot_table
+from .energy import CLIENT, SERVER, InfeasibleError, SolveResult, SystemParams, slot_table
 from .graph import TaskGraph, check_graph, topological_order
 from .oracle import cheapest_feasible
 
@@ -122,7 +121,8 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
     local = dict.fromkeys(graph.node_ids, CLIENT)
     decision, report, _ = cheapest_feasible(graph, [local | dict.fromkeys(server, SERVER)], params)
     if decision is not None:
-        return SolveResult(decision, report, report.psi, [], EXIT_MINCUT, True, params.epsilon)
+        return SolveResult(decision=decision, report=report, psi_lower=report.psi, log=[],
+                           exit_reason=EXIT_MINCUT, optimal_certified=True, epsilon=params.epsilon)
     floor = _round_down(cut, scale) * (1.0 - 2.0**-50)
     path = topological_order(graph)
     if set(zip(graph.edge_src, graph.edge_dst)) == set(zip(path, path[1:])):
@@ -132,7 +132,8 @@ def solve(graph: TaskGraph, params: SystemParams) -> SolveResult:
         decision, report, _ = cheapest_feasible(graph, locations, params)
         if decision is None:
             raise InfeasibleError("no offload window (including all-local) meets the deadline")
-        return SolveResult(decision, report, floor, [], EXIT_WINDOW, False, params.epsilon)
+        return SolveResult(decision=decision, report=report, psi_lower=floor, log=[],
+                           exit_reason=EXIT_WINDOW, optimal_certified=False, epsilon=params.epsilon)
     result = colgen.solve(graph, params)
     return replace(result, psi_lower=max(result.psi_lower, floor))
 

@@ -488,30 +488,19 @@ def gen_layered_dag(spec: LayeredDagSpec, rng: np.random.Generator) -> TaskGraph
                     edge_set.add((src, dst))
 
     # Repair pass: orphaned nodes get one parent from the previous layer,
-    # childless nodes one child in the next layer.
-    parents: dict[int, int] = {node: 0 for node in range(1, n + 1)}
-    children: dict[int, int] = {node: 0 for node in range(1, n + 1)}
-    for src, dst in edge_set:
-        children[src] += 1
-        parents[dst] += 1
-    for depth in range(1, len(layers)):
-        prev = layers[depth - 1]
-        for node in layers[depth]:
-            if parents[node] == 0:
-                src = prev[int(rng.integers(0, len(prev)))]
-                if (src, node) not in edge_set:
-                    edge_set.add((src, node))
-                    children[src] += 1
-                    parents[node] += 1
-    for depth in range(len(layers) - 2, -1, -1):
-        nxt = layers[depth + 1]
-        for node in layers[depth]:
-            if children[node] == 0:
-                dst = nxt[int(rng.integers(0, len(nxt)))]
-                if (node, dst) not in edge_set:
-                    edge_set.add((node, dst))
-                    children[node] += 1
-                    parents[dst] += 1
+    # then childless nodes one child in the next layer, deepest layer first.
+    # A repair edge is new: it reaches a node with no parent, or leaves one
+    # with no child.
+    has_parent = {dst for _, dst in edge_set}
+    for prev, layer in zip(layers, layers[1:]):
+        for node in layer:
+            if node not in has_parent:
+                edge_set.add((prev[int(rng.integers(0, len(prev)))], node))
+    has_child = {src for src, _ in edge_set}
+    for layer, nxt in reversed(list(zip(layers, layers[1:]))):
+        for node in layer:
+            if node not in has_child:
+                edge_set.add((node, nxt[int(rng.integers(0, len(nxt)))]))
 
     edges = [
         DataEdge(src, dst, _half_normal_int(rng, spec.bit_scale, "bit_scale"))

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evtoffload import cli
+from evtoffload import cli, colgen, mincut
 from evtoffload.cli import main
-from evtoffload.energy import MAX_DEADLINE_SLOTS, SystemParams
+from evtoffload.energy import MAX_DEADLINE_SLOTS, OffloadDecision, SystemParams
 from evtoffload.gev import (
     GevParams,
     block_maxima,
@@ -20,10 +20,11 @@ from evtoffload.gev import (
     gev_sample,
     load_trace_samples,
 )
-from evtoffload.graph import save_graph
+from evtoffload.graph import load_graph, save_graph
 from evtoffload.lazy import lazy_numpy
+from evtoffload.oracle import brute_force_optimum
 
-from conftest import INSTANCE_DIR, chain_graph, toy_params
+from conftest import INSTANCE_DIR, chain_graph, random_small_instance, toy_params
 
 
 def _write_config(tmp_path, **overrides) -> Path:
@@ -132,6 +133,34 @@ def test_oracle_export_carries_enumeration_count(tmp_path):
     data = json.loads(out.read_text())
     assert data["assignments_enumerated"] == 2 ** (6 - 2)
     assert 1 <= data["feasible_count"] <= data["assignments_enumerated"]
+
+
+@pytest.mark.parametrize("instance", ["smart_diagnosis", "random-small-3"])
+def test_every_decider_writes_a_file_that_reads_back_as_its_decision(tmp_path, instance):
+    # Column generation, the cut behind auto and the oracle write one decision
+    # format: reading a file back gives the decision the decider returns, and
+    # simulate takes the oracle's file as its input.
+    if instance == "smart_diagnosis":
+        dag, params = INSTANCE_DIR / "smart_diagnosis.json", SystemParams()
+        graph = load_graph(dag)
+    else:
+        graph, params = random_small_instance(3)
+        dag = tmp_path / "dag.json"
+        save_graph(graph, dag)
+    config = tmp_path / "config.json"
+    params.to_json(config)
+    deciders = {
+        "cg": (["solve", "--policy", "cg"], colgen.solve),
+        "auto": (["solve", "--policy", "auto"], mincut.solve),
+        "oracle": (["oracle"], brute_force_optimum),
+    }
+    for name, (command, decide) in deciders.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["--config", str(config), *command, "--dag", str(dag), "--out", str(out)]) == 0
+        assert OffloadDecision.from_json(out) == decide(graph, params).decision
+    argv = ["--config", str(config), "simulate", "--dag", str(dag), "--decision", str(tmp_path / "oracle.json"),
+            "--model", str(_write_model(tmp_path)), "--replications", "20", "--out", str(tmp_path / "report.json")]
+    assert main(argv) == 0
 
 
 def _write_trace_csv(path: Path, n_rows=4000, seed=2):

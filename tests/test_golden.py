@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from evtoffload import colgen, mincut
-from evtoffload.colgen import write_decision_json, write_iteration_log
+from evtoffload.energy import write_decision_json, write_iteration_log
 from evtoffload.energy import CLIENT, SERVER, InfeasibleError, SystemParams, exec_slots
 from evtoffload.graph import TaskGraph, load_graph
 from evtoffload.oracle import earliest_completion

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evtoffload import colgen, graph as graph_module, mincut
+from evtoffload import colgen, energy, graph as graph_module, mincut
 from evtoffload.cli import main
 from evtoffload.energy import SystemParams
 from evtoffload.graph import (
@@ -300,8 +300,8 @@ def test_rewriting_a_longer_file_leaves_exactly_the_new_bytes(tmp_path):
     path.write_bytes(b"x" * 4096 + b"\n")
     write_json(path, {"a": [1]})
     assert path.read_bytes() == b'{\n  "a": [\n    1\n  ]\n}\n'
-    log = [colgen.IterationRecord(0, 2.5, 1.0, 0.5, None), colgen.IterationRecord(1, 2.0, 1.5, 0.25, 3)]
-    colgen.write_iteration_log(path, log)
+    log = [energy.IterationRecord(0, 2.5, 1.0, 0.5, None), energy.IterationRecord(1, 2.0, 1.5, 0.25, 3)]
+    energy.write_iteration_log(path, log)
     assert path.read_bytes() == (
         b"iter,psi_upper,psi_lower,r_underbar,admitted_node\r\n0,2.5,1.0,0.5,\r\n1,2.0,1.5,0.25,3\r\n"
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -269,6 +270,32 @@ def test_gen_validity_and_connectivity_sweep():
         assert bwd == set(graph.node_ids)
         checked += 1
     assert checked == 1000
+
+
+# One sha256 per shape, over seeds 0-19, of each graph's node ids and
+# workloads and its edge columns: the shapes the golden corpus
+# (`random_small_instance`, edge_prob 0.5) does not reach.
+_GEN_SHAPE_DIGESTS = {
+    "width_max-1": ({"n_nodes": 40, "edge_prob": 0.3, "width_max": 1},
+                    "04a156ca3c4d139350c72205eec22023d8f011935044c286583644a4a01b67ce"),
+    "edge_prob-1.0": ({"n_nodes": 40, "edge_prob": 1.0},
+                      "1bc209f50bf962bff7480cc3385fe828e840ca5ae36f0053439de47d5e498d21"),
+    "edge_prob-0.01": ({"n_nodes": 60, "edge_prob": 0.01},
+                       "e4ca184ce9baefa927459f861db63a9f483546445b63505ff7094e6139fc3ddd"),
+    "n-2": ({"n_nodes": 2, "edge_prob": 0.5}, "8534cfada33ea9447db5780d983bd72b07d164d356c93b20f06d04fed2c3de53"),
+    "n-3": ({"n_nodes": 3, "edge_prob": 0.05}, "54433a616f562a08efcd3e79ea5890b6c6bfc7e449ca6873336bde3f14f96cb1"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_GEN_SHAPE_DIGESTS))
+def test_gen_shapes_beyond_the_golden_corpus_are_pinned(shape):
+    fields, expected = _GEN_SHAPE_DIGESTS[shape]
+    h = hashlib.sha256()
+    for seed in range(20):
+        graph = gen_layered_dag(LayeredDagSpec(**fields), np.random.default_rng(seed))
+        columns = [graph.node_ids, graph.node_workloads, graph.edge_src, graph.edge_dst, graph.edge_bits]
+        h.update(json.dumps(columns).encode())
+    assert h.hexdigest() == expected
 
 
 def test_gen_rejects_bad_spec():
